@@ -2,45 +2,42 @@
 // performance — and records it in a machine-readable trajectory file so
 // perf regressions are visible across commits.
 //
-// Two sections are produced, each measured across both scheduler kernels
-// (the bit-parallel "bitset" default and the retained "entry" reference)
-// and both core layouts (the "soa" uop-arena default and the retained
-// pointer-linked "entry" reference):
+// Three sections are produced:
 //
+//   - host: a calibration leg that runs no simulator code, a fixed
+//     pointer chase with hashing over a permutation larger than any L1
+//     data cache, reporting steps/sec. It is the denominator of every
+//     ratio the regression gate compares.
 //   - configs: one steady-state measurement per scheduler model
 //     (baseline, 2-cycle, MOP-CAM, MOP-wired-OR, select-free) on one
 //     benchmark, reporting simulated uops/sec, cycles/sec, a per-stage
 //     wall-time breakdown from a separate accounting leg, and — after a
 //     warm-up run that grows every pool and scratch buffer — allocations
-//     and bytes per simulated cycle. Throughput legs run interleaved
-//     round-robin across all cells, best of -config-reps per cell, so a
-//     transient host slowdown cannot land on one cell and skew the
-//     cross-cell ratios the regression gate compares. The steady-state
-//     cycle loop is required to be allocation-free under every
-//     kernel×layout; the run exits non-zero when any config exceeds
-//     -max-allocs-per-cycle.
+//     and bytes per simulated cycle. The steady-state cycle loop is
+//     required to be allocation-free; the run exits non-zero when any
+//     config exceeds -max-allocs-per-cycle.
 //   - table2: the end-to-end Table 2 experiment (every benchmark, base
 //     scheduler, two queue sizes), the same work BenchmarkTable2 does,
-//     reporting aggregate simulated uops/sec. The bitset-kernel/soa-layout
-//     number is the headline tracked across PRs; the entry kernel and the
-//     entry layout ride along as baselines, and the run exits non-zero if
-//     the headline falls below -min-kernel-speedup (resp.
-//     -min-layout-speedup) times them.
+//     reporting aggregate simulated uops/sec.
 //
-// When -baseline names a previous report, the reports are compared using
-// same-work normalization: each optimized configs cell is divided by its
-// own model's reference-implementation corner (entry kernel, entry
-// layout) from the same report, and the table2 section is compared via
-// its recorded kernel/layout speedup ratios. Host speed and instruction
-// budgets cancel out of every ratio, so a -short CI run gates cleanly
-// against a committed full-budget baseline; any cell whose normalized
-// throughput drops more than -max-regress fails the run. Cells absent
+// Every timed leg — host, config cell, table2 sweep — repeats the same
+// fixed work from a fresh start, and the report keeps the median of its
+// N wall-clock repetitions; the host legs run interleaved round-robin
+// with the legs they normalize, so a transient host slowdown cannot land
+// on one side of a ratio. -short lowers N only, never the work, and a
+// median, unlike a best-of-N, does not drift with N.
+//
+// When -baseline names a previous report, each configs cell and the
+// table2 figure is divided by its own report's host steps/sec, and any
+// whose normalized throughput drops more than -max-regress below the
+// baseline's fails the run. Host speed cancels out of every ratio, so a
+// -short CI run gates against a committed full baseline. Cells absent
 // from the baseline (new models, schema growth) are skipped.
 //
 // Usage:
 //
 //	go run ./cmd/mopbench                   # full suite -> BENCH_core.json
-//	go run ./cmd/mopbench -short            # CI smoke (reduced budgets)
+//	go run ./cmd/mopbench -short            # CI smoke (fewer repetitions)
 //	go run ./cmd/mopbench -out /tmp/b.json  # write elsewhere (-o is an alias)
 //	go run ./cmd/mopbench -short -baseline BENCH_core.json   # regression gate
 //	go run ./cmd/mopbench -cpuprofile cpu.prof -memprofile mem.prof
@@ -54,6 +51,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"sort"
 	"time"
 
 	"macroop/internal/config"
@@ -63,11 +61,17 @@ import (
 	"macroop/internal/workload"
 )
 
+// HostResult is the host-calibration leg's median repetition.
+type HostResult struct {
+	Steps       int64   `json:"steps"`
+	PermBytes   int64   `json:"perm_bytes"`
+	WallSec     float64 `json:"wall_sec"`
+	StepsPerSec float64 `json:"steps_per_sec"`
+}
+
 // ConfigResult is one steady-state measurement of the cycle loop.
 type ConfigResult struct {
 	Name           string              `json:"name"`
-	Kernel         string              `json:"kernel"`
-	Layout         string              `json:"layout"`
 	Benchmark      string              `json:"benchmark"`
 	Insts          int64               `json:"insts"`
 	Cycles         int64               `json:"cycles"`
@@ -90,18 +94,14 @@ type Table2Result struct {
 
 // Report is the BENCH_core.json schema.
 type Report struct {
-	GoVersion string         `json:"go_version"`
-	Short     bool           `json:"short"`
-	Configs   []ConfigResult `json:"configs"`
-	// Table2 is the default bitset kernel on the default soa layout.
-	// Table2Entry swaps in the reference kernel, Table2EntryLayout the
-	// reference core layout, each on identical work; the speedups are the
-	// corresponding uops/sec ratios against Table2.
-	Table2            Table2Result `json:"table2"`
-	Table2Entry       Table2Result `json:"table2_entry"`
-	Table2EntryLayout Table2Result `json:"table2_entry_layout"`
-	KernelSpeedup     float64      `json:"kernel_speedup"`
-	LayoutSpeedup     float64      `json:"layout_speedup"`
+	GoVersion string `json:"go_version"`
+	Short     bool   `json:"short"`
+	// InstsPerConfig is the timed window of every configs leg; with
+	// Table2.InstsPerCell it fixes the work a report measures.
+	InstsPerConfig int64          `json:"insts_per_config"`
+	Host           HostResult     `json:"host"`
+	Configs        []ConfigResult `json:"configs"`
+	Table2         Table2Result   `json:"table2"`
 }
 
 func schedConfigs() []struct {
@@ -124,21 +124,66 @@ func schedConfigs() []struct {
 	}
 }
 
-var kernels = []config.SchedKernel{config.KernelBitset, config.KernelEntry}
-
-var layouts = []config.CoreLayout{config.LayoutSoA, config.LayoutEntry}
-
-// refKernel/refLayout identify the reference-implementation corner used
-// as the denominator of the cross-report regression gate: the retained
-// entry kernel on the retained entry layout. Dividing each optimized
-// cell by its own model's reference corner (measured in the same
-// process, on the same work) cancels both host speed and instruction
-// budgets, so reports from different machines and budget modes remain
-// comparable.
-var (
-	refKernel = config.KernelEntry.String()
-	refLayout = config.LayoutEntry.String()
+// The host-calibration leg chases pointers through a fixed permutation
+// and hashes every slot it visits. It imports no simulator package, so
+// its speed moves only with the host and the Go toolchain, never with a
+// change under test. hostPermLen uint32 slots make 256 KiB, more than
+// any L1 data cache, so like the simulator's own working set the chase
+// runs out of L2. hostSteps is one leg's fixed work, a few tens of
+// milliseconds.
+const (
+	hostPermLen = 1 << 16
+	hostSteps   = 1 << 23
 )
+
+// hostSink keeps the calibration hash live so the compiler cannot drop
+// the loop that computes it.
+var hostSink uint64
+
+// hostPerm returns a single cycle through all hostPermLen slots, built by
+// Sattolo's algorithm from a fixed xorshift seed, so every run on every
+// host chases the same sequence.
+func hostPerm() []uint32 {
+	p := make([]uint32, hostPermLen)
+	for i := range p {
+		p[i] = uint32(i)
+	}
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := len(p) - 1; i > 0; i-- {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		j := int(x % uint64(i))
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// measureHost runs one timed calibration leg and returns its wall time.
+// Like every timed leg it starts from a collected heap.
+func measureHost(perm []uint32) float64 {
+	runtime.GC()
+	start := time.Now()
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	i := uint32(0)
+	for n := 0; n < hostSteps; n++ {
+		i = perm[i]
+		h = (h ^ uint64(i)) * 1099511628211 // FNV-1a prime
+	}
+	wall := time.Since(start).Seconds()
+	hostSink = h
+	return wall
+}
+
+// median returns the median of xs, sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
 
 // allocWindow is the number of bare cycles stepped between MemStats
 // snapshots for the allocs/cycle gate. Large enough that a per-cycle
@@ -156,35 +201,36 @@ const allocWindows = 3
 // doubles the cost of a cycle.
 const stageWindow = 60_000
 
-// cell is one (scheduler config, kernel, layout) measurement in flight:
-// the live warmed core plus everything measured so far. Cells stay alive
-// across the whole configs section so their timed throughput legs can be
+// cell is one scheduler config's measurement in flight: what its timed
+// legs simulate plus everything measured so far. Cells stay alive across
+// the whole configs section so their timed throughput legs can be
 // interleaved (see run).
 type cell struct {
 	m     config.Machine
-	c     *core.Core
-	insts int64
+	prog  *program.Program
+	warm  int64     // untimed prefix run before every measurement
+	insts int64     // timed window after the prefix
+	walls []float64 // wall seconds of each timed leg
 	res   ConfigResult
 }
 
 // prepareConfig runs one cell's untimed legs — warm-up, allocation
-// windows, stage-accounting window — and returns the live cell ready for
-// timed throughput legs.
+// windows, stage-accounting window — and returns the cell ready for timed
+// throughput legs.
 func prepareConfig(name, bench string, m config.Machine, prog *program.Program, insts int64) (*cell, error) {
 	c, err := core.New(m, prog)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%v/%v: configure: %w", name, m.Kernel, m.Layout, err)
+		return nil, fmt.Errorf("%s: configure: %w", name, err)
 	}
 	// Warm-up leg: grow every pool, ring, and scratch buffer (and the
 	// functional model's memory pages the warm window touches) before
-	// measuring. The returned result aliases the core's own struct, so
-	// snapshot the cumulative counters by value.
+	// measuring.
 	warm := insts / 5
 	if warm < 30_000 {
 		warm = 30_000
 	}
 	if _, err := c.Run(warm); err != nil {
-		return nil, fmt.Errorf("%s/%v/%v: warmup: %w", name, m.Kernel, m.Layout, err)
+		return nil, fmt.Errorf("%s: warmup: %w", name, err)
 	}
 
 	// Allocation window: a bounded span of bare cycles right after
@@ -194,7 +240,7 @@ func prepareConfig(name, bench string, m config.Machine, prog *program.Program, 
 	// growth (a pool or scratch slice doubling once more as occupancy
 	// peaks just past the warm-up point).
 	if _, err := c.StepCycles(allocWindow); err != nil {
-		return nil, fmt.Errorf("%s/%v/%v: settle: %w", name, m.Kernel, m.Layout, err)
+		return nil, fmt.Errorf("%s: settle: %w", name, err)
 	}
 	// Take the minimum over a few windows: the Go runtime itself makes
 	// a rare tiny allocation on a background thread (e.g. the scavenger
@@ -209,7 +255,7 @@ func prepareConfig(name, bench string, m config.Machine, prog *program.Program, 
 		runtime.ReadMemStats(&before)
 		cycles, err := c.StepCycles(allocWindow)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%v/%v: alloc window: %w", name, m.Kernel, m.Layout, err)
+			return nil, fmt.Errorf("%s: alloc window: %w", name, err)
 		}
 		runtime.ReadMemStats(&after)
 		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
@@ -223,19 +269,18 @@ func prepareConfig(name, bench string, m config.Machine, prog *program.Program, 
 	// throughput leg below runs the unbracketed cycle loop.
 	c.SetStageAccounting(true)
 	if _, err := c.StepCycles(stageWindow); err != nil {
-		return nil, fmt.Errorf("%s/%v/%v: stage window: %w", name, m.Kernel, m.Layout, err)
+		return nil, fmt.Errorf("%s: stage window: %w", name, err)
 	}
 	stages := c.StageBreakdown()
 	c.SetStageAccounting(false)
 
 	return &cell{
 		m:     m,
-		c:     c,
+		prog:  prog,
+		warm:  warm,
 		insts: insts,
 		res: ConfigResult{
 			Name:           name,
-			Kernel:         m.Kernel.String(),
-			Layout:         m.Layout.String(),
 			Benchmark:      bench,
 			AllocsPerCycle: float64(winAllocs) / float64(allocCycles),
 			BytesPerCycle:  float64(winBytes) / float64(allocCycles),
@@ -244,75 +289,56 @@ func prepareConfig(name, bench string, m config.Machine, prog *program.Program, 
 	}, nil
 }
 
-// measureThroughput runs one timed wall-clock leg of the cell's
-// instruction budget (Run's budget is cumulative) and keeps it if it
-// beats the cell's best leg so far. Cells are measured by the caller in
-// interleaved rounds for the same reason runTable2Corners interleaves
-// its corners: the regression gate compares cells as ratios, and a
-// transient host slowdown landing entirely on one back-to-back leg
-// corrupts the ratio; best-of-N over interleaved legs cancels it.
+// measureThroughput runs one timed wall-clock leg. Each leg builds a
+// fresh core, runs the warm-up prefix untimed and times the next insts
+// instructions, so every leg of every report covers the same instruction
+// window and legs differ only by host noise.
 func (cl *cell) measureThroughput() error {
-	preCycles, preInsts := cl.c.Progress()
+	c, err := core.New(cl.m, cl.prog)
+	if err != nil {
+		return fmt.Errorf("%s: configure: %w", cl.res.Name, err)
+	}
+	if _, err := c.Run(cl.warm); err != nil {
+		return fmt.Errorf("%s: warmup: %w", cl.res.Name, err)
+	}
+	preCycles, preInsts := c.Progress()
+	// Collect the previous legs' cores now, so their garbage is not
+	// collected during the timed window, which after the warm-up
+	// allocates almost nothing itself.
+	runtime.GC()
 	start := time.Now()
-	res, err := cl.c.Run(preInsts + cl.insts)
+	res, err := c.Run(preInsts + cl.insts)
 	wall := time.Since(start).Seconds()
 	if err != nil {
-		return fmt.Errorf("%s/%v/%v: simulate: %w", cl.res.Name, cl.m.Kernel, cl.m.Layout, err)
+		return fmt.Errorf("%s: simulate: %w", cl.res.Name, err)
 	}
-	measuredInsts := res.Committed - preInsts
-	measuredCycles := res.Cycles - preCycles
-	if ups := float64(measuredInsts) / wall; ups > cl.res.UopsPerSec {
-		cl.res.Insts = measuredInsts
-		cl.res.Cycles = measuredCycles
-		cl.res.WallSec = wall
-		cl.res.UopsPerSec = ups
-		cl.res.CyclesPerSec = float64(measuredCycles) / wall
-	}
+	cl.res.Insts = res.Committed - preInsts
+	cl.res.Cycles = res.Cycles - preCycles
+	cl.walls = append(cl.walls, wall)
 	return nil
 }
 
-// runTable2Corners measures the three table2 corners (default, reference
-// kernel, reference layout) interleaved round-robin, keeping each
-// corner's best of reps repetitions. Interleaving matters on busy hosts:
-// the corners' throughputs are compared as ratios (kernel/layout
-// speedups), and running each corner once back-to-back lets a transient
-// host slowdown land entirely on one corner and corrupt the ratio by
-// 2x. Best-of-N of interleaved runs cancels such transients instead.
-func runTable2Corners(r *experiments.Runner, insts int64, reps int) (soa, entryK, entryL Table2Result, err error) {
-	corners := []struct {
-		k   config.SchedKernel
-		l   config.CoreLayout
-		dst *Table2Result
-	}{
-		{config.KernelBitset, config.LayoutSoA, &soa},
-		{config.KernelEntry, config.LayoutSoA, &entryK},
-		{config.KernelBitset, config.LayoutEntry, &entryL},
-	}
-	for rep := 0; rep < reps; rep++ {
-		for _, c := range corners {
-			res, rerr := runTable2(r, c.k, c.l, insts)
-			if rerr != nil {
-				err = rerr
-				return
-			}
-			if rep == 0 || res.UopsPerSec > c.dst.UopsPerSec {
-				*c.dst = res
-			}
-		}
-	}
-	return
+// finish sets the cell's throughput from the median of its timed legs.
+func (cl *cell) finish() {
+	wall := median(cl.walls)
+	cl.res.WallSec = wall
+	cl.res.UopsPerSec = float64(cl.res.Insts) / wall
+	cl.res.CyclesPerSec = float64(cl.res.Cycles) / wall
 }
 
-// runTable2 runs the end-to-end Table 2 sweep under one kernel×layout.
-func runTable2(r *experiments.Runner, k config.SchedKernel, l config.CoreLayout, insts int64) (Table2Result, error) {
+// runTable2 runs the end-to-end Table 2 sweep once. Like a config leg it
+// starts from a collected heap, so the sweep pays only for its own
+// garbage.
+func runTable2(r *experiments.Runner, insts int64) (Table2Result, error) {
+	runtime.GC()
 	start := time.Now()
 	res, err := r.RunMatrix(map[string]config.Machine{
-		"iq32":  config.Default().WithSched(config.SchedBase).WithKernel(k).WithLayout(l),
-		"unres": config.Unrestricted().WithSched(config.SchedBase).WithKernel(k).WithLayout(l),
+		"iq32":  config.Default().WithSched(config.SchedBase),
+		"unres": config.Unrestricted().WithSched(config.SchedBase),
 	})
 	wall := time.Since(start).Seconds()
 	if err != nil {
-		return Table2Result{}, fmt.Errorf("table2/%v/%v: %w", k, l, err)
+		return Table2Result{}, fmt.Errorf("table2: %w", err)
 	}
 	var committed int64
 	cells := 0
@@ -331,62 +357,47 @@ func runTable2(r *experiments.Runner, k config.SchedKernel, l config.CoreLayout,
 	}, nil
 }
 
-// refUops finds the reference-implementation corner (entry kernel, entry
-// layout) of the named config in a report — 0 if the report predates the
-// layout dimension or lacks the row.
-func refUops(rep *Report, name string) float64 {
-	for i := range rep.Configs {
-		c := &rep.Configs[i]
-		if c.Name == name && c.Kernel == refKernel && c.Layout == refLayout {
-			return c.UopsPerSec
-		}
-	}
-	return 0
+// perHost is uops/sec normalized by the same report's host-calibration
+// steps/sec: simulated uops per calibration step.
+func perHost(rep *Report, uopsPerSec float64) float64 {
+	return uopsPerSec / rep.Host.StepsPerSec
 }
 
-// gateRegressions compares the two reports cell by cell using same-work
-// normalization: each configs cell is divided by the same model's
-// reference-implementation corner (entry kernel, entry layout) from its
-// own report, and the table2 section is compared via its recorded
-// kernel/layout speedup ratios. Both cells of every ratio measure the
-// same simulated work in the same process, so host speed and instruction
-// budgets cancel — what is gated is precisely the optimized
-// implementations' advantage over the retained references, the thing a
-// perf PR can silently lose. Returns one message per cell whose
-// normalized throughput dropped more than maxRegress; cells missing from
-// the baseline are skipped, so schema growth never trips the gate.
+// gateRegressions compares the two reports cell by cell, each cell's
+// uops/sec divided by its own report's host steps/sec. Both sides of each
+// ratio were timed interleaved in one process, so host speed cancels,
+// and a report from another machine or with another repetition count
+// stays comparable; one with other instruction budgets times other
+// windows and is refused. Returns one message per cell whose normalized
+// throughput dropped more than maxRegress; cells missing from the
+// baseline are skipped, so schema growth never trips the gate.
 func gateRegressions(rep, base *Report, maxRegress float64) []string {
+	if base.Host.StepsPerSec <= 0 {
+		return []string{"baseline has no host-calibration leg: nothing comparable, regenerate it"}
+	}
+	if rep.InstsPerConfig != base.InstsPerConfig || rep.Table2.InstsPerCell != base.Table2.InstsPerCell {
+		return []string{fmt.Sprintf("budgets %d/%d differ from the baseline's %d/%d (-insts/-table2-insts): the timed windows are not comparable",
+			rep.InstsPerConfig, rep.Table2.InstsPerCell, base.InstsPerConfig, base.Table2.InstsPerCell)}
+	}
 	var fails []string
 	check := func(cell string, now, then float64) {
-		if then <= 0 || now <= 0 {
+		if then <= 0 {
 			return
 		}
-		if now < (1-maxRegress)*then {
-			fails = append(fails, fmt.Sprintf("%s: normalized %.3f vs baseline %.3f (-%.1f%%)",
-				cell, now, then, 100*(1-now/then)))
+		nowN, thenN := perHost(rep, now), perHost(base, then)
+		if nowN < (1-maxRegress)*thenN {
+			fails = append(fails, fmt.Sprintf("%s: %.4f uops/host-step vs baseline %.4f (-%.1f%%)",
+				cell, nowN, thenN, 100*(1-nowN/thenN)))
 		}
 	}
 	baseCells := make(map[string]float64, len(base.Configs))
-	for i := range base.Configs {
-		c := &base.Configs[i]
-		baseCells[c.Name+"/"+c.Kernel+"/"+c.Layout] = c.UopsPerSec
+	for _, c := range base.Configs {
+		baseCells[c.Name] = c.UopsPerSec
 	}
-	for i := range rep.Configs {
-		c := &rep.Configs[i]
-		if c.Kernel == refKernel && c.Layout == refLayout {
-			continue // the reference corner itself is each ratio's denominator
-		}
-		newRef, oldRef := refUops(rep, c.Name), refUops(base, c.Name)
-		if newRef <= 0 || oldRef <= 0 {
-			continue // old-schema baseline: nothing comparable
-		}
-		key := c.Name + "/" + c.Kernel + "/" + c.Layout
-		if bv := baseCells[key]; bv > 0 {
-			check(key, c.UopsPerSec/newRef, bv/oldRef)
-		}
+	for _, c := range rep.Configs {
+		check(c.Name, c.UopsPerSec, baseCells[c.Name])
 	}
-	check("table2 kernel_speedup", rep.KernelSpeedup, base.KernelSpeedup)
-	check("table2 layout_speedup", rep.LayoutSpeedup, base.LayoutSpeedup)
+	check("table2", rep.Table2.UopsPerSec, base.Table2.UopsPerSec)
 	return fails
 }
 
@@ -394,17 +405,15 @@ func main() {
 	var (
 		out        = flag.String("out", "BENCH_core.json", "output file for the JSON report")
 		outAlias   = flag.String("o", "", "alias for -out")
-		short      = flag.Bool("short", false, "reduced budgets for CI smoke runs")
-		insts      = flag.Int64("insts", 400_000, "per-config instruction budget (steady-state section)")
-		cfgReps    = flag.Int("config-reps", 3, "interleaved throughput legs per config cell (best-of-N, stabilizes cell ratios on busy hosts)")
+		short      = flag.Bool("short", false, "fewer repetitions for CI smoke runs (every leg still times the same window, so a short report gates against a full one)")
+		insts      = flag.Int64("insts", 400_000, "per-config timed instruction window (steady-state section)")
+		cfgReps    = flag.Int("config-reps", 5, "interleaved throughput legs per config cell and host leg (the report keeps the median)")
 		t2Insts    = flag.Int64("table2-insts", 120_000, "per-cell instruction budget (table2 section)")
-		t2Reps     = flag.Int("table2-reps", 3, "interleaved repetitions per table2 corner (best-of-N, stabilizes the speedup ratios on busy hosts)")
+		t2Reps     = flag.Int("table2-reps", 5, "interleaved table2 sweeps and host legs (the report keeps the median)")
 		bench      = flag.String("bench", "gzip", "benchmark for the steady-state section")
 		maxAllocs  = flag.Float64("max-allocs-per-cycle", 0, "fail when any config allocates more than this per steady-state cycle")
-		minKSpeed  = flag.Float64("min-kernel-speedup", 0.9, "fail when the bitset kernel's table2 uops/sec falls below this multiple of the entry kernel's (slack absorbs wall-clock noise)")
-		minLSpeed  = flag.Float64("min-layout-speedup", 0.9, "fail when the soa layout's table2 uops/sec falls below this multiple of the entry layout's (slack absorbs wall-clock noise)")
-		baseline   = flag.String("baseline", "", "previous report to gate normalized per-cell regressions against")
-		maxRegress = flag.Float64("max-regress", 0.15, "with -baseline: fail when any cell's reference-normalized uops/sec drops more than this fraction")
+		baseline   = flag.String("baseline", "", "previous report to gate host-normalized per-cell regressions against")
+		maxRegress = flag.Float64("max-regress", 0.15, "with -baseline: fail when any cell's host-normalized uops/sec drops more than this fraction")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
@@ -415,16 +424,15 @@ func main() {
 		}
 		*out = *outAlias
 	}
+	if *cfgReps < 1 || *t2Reps < 1 {
+		fatalf("-config-reps and -table2-reps must be at least 1")
+	}
 	if *short {
-		*insts = 100_000
-		*t2Insts = 30_000
-		// Short throughput legs are cheap, so buy back their extra noise
-		// with more best-of-N repetitions (unless reps were set by hand).
 		if !explicitly("config-reps") {
-			*cfgReps = 5
+			*cfgReps = 3
 		}
 		if !explicitly("table2-reps") {
-			*t2Reps = 5
+			*t2Reps = 3
 		}
 	}
 
@@ -453,13 +461,13 @@ func main() {
 	}
 
 	// The steady-state loop is allocation-free, so GC work is pure
-	// measurement noise: collections only re-scan the long-lived arenas.
+	// measurement noise: collections only re-scan the long-lived pools.
 	// Raising the GC target makes throughput numbers noticeably more
 	// stable without hiding leaks (the alloc windows force explicit GCs
 	// and count mallocs, not collections).
 	debug.SetGCPercent(400)
 
-	failed := run(base, *out, *short, *insts, *cfgReps, *t2Insts, *t2Reps, *bench, *maxAllocs, *minKSpeed, *minLSpeed, *maxRegress)
+	failed := run(base, *out, *short, *insts, *cfgReps, *t2Insts, *t2Reps, *bench, *maxAllocs, *maxRegress)
 
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
@@ -483,8 +491,9 @@ func main() {
 }
 
 // run executes the whole suite and returns whether any gate failed.
-func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts int64, t2Reps int, bench string, maxAllocs, minKSpeed, minLSpeed, maxRegress float64) bool {
-	rep := Report{GoVersion: runtime.Version(), Short: short}
+func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts int64, t2Reps int, bench string, maxAllocs, maxRegress float64) bool {
+	rep := Report{GoVersion: runtime.Version(), Short: short, InstsPerConfig: insts}
+	perm := hostPerm()
 
 	prof, err := workload.ByName(bench)
 	if err != nil {
@@ -498,25 +507,51 @@ func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts
 	failed := false
 	var cells []*cell
 	for _, sc := range schedConfigs() {
-		for _, k := range kernels {
-			for _, l := range layouts {
-				cl, err := prepareConfig(sc.name, bench, sc.m.WithKernel(k).WithLayout(l), prog, insts)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				cells = append(cells, cl)
-			}
+		cl, err := prepareConfig(sc.name, bench, sc.m, prog, insts)
+		if err != nil {
+			fatalf("%v", err)
 		}
+		cells = append(cells, cl)
 	}
-	// Timed throughput legs, interleaved round-robin across all cells,
-	// best of cfgReps per cell (see measureThroughput for why).
+	// Timed legs, interleaved round-robin: one host leg, then one
+	// throughput leg per cell, cfgReps rounds.
+	var hostWalls []float64
 	for r := 0; r < cfgReps; r++ {
+		hostWalls = append(hostWalls, measureHost(perm))
 		for _, cl := range cells {
 			if err := cl.measureThroughput(); err != nil {
 				fatalf("%v", err)
 			}
 		}
 	}
+	for _, cl := range cells {
+		cl.finish()
+	}
+
+	// End-to-end Table 2 sweep, the BenchmarkTable2 workload, on
+	// pre-generated programs, alternating with host legs.
+	r := experiments.NewRunner(t2Insts)
+	for _, b := range workload.Names() {
+		if _, err := r.Program(b); err != nil {
+			fatalf("generate %s: %v", b, err)
+		}
+	}
+	var t2Walls []float64
+	for i := 0; i < t2Reps; i++ {
+		hostWalls = append(hostWalls, measureHost(perm))
+		if rep.Table2, err = runTable2(r, t2Insts); err != nil {
+			fatalf("%v", err)
+		}
+		t2Walls = append(t2Walls, rep.Table2.WallSec)
+	}
+	// Every sweep commits the same instructions; only its wall time varies.
+	rep.Table2.WallSec = median(t2Walls)
+	rep.Table2.UopsPerSec = float64(rep.Table2.Committed) / rep.Table2.WallSec
+	hostWall := median(hostWalls)
+	rep.Host = HostResult{Steps: hostSteps, PermBytes: 4 * hostPermLen, WallSec: hostWall, StepsPerSec: hostSteps / hostWall}
+
+	fmt.Printf("%-13s %8.1f Msteps/s (%d steps over a %d KiB permutation)\n",
+		"host", rep.Host.StepsPerSec/1e6, rep.Host.Steps, rep.Host.PermBytes>>10)
 	for _, cl := range cells {
 		cr := cl.res
 		rep.Configs = append(rep.Configs, cr)
@@ -525,42 +560,14 @@ func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts
 			status = fmt.Sprintf("FAIL (> %.3f)", maxAllocs)
 			failed = true
 		}
-		fmt.Printf("%-13s %-6s %-5s %8.0f kuops/s %9.0f kcycles/s %7.4f allocs/cycle %6.1f B/cycle  sched %2.0f%% insert %2.0f%% fetch %2.0f%%  %s\n",
-			cr.Name, cr.Kernel, cr.Layout, cr.UopsPerSec/1e3, cr.CyclesPerSec/1e3,
+		fmt.Printf("%-13s %8.0f kuops/s %7.4f uops/host-step %9.0f kcycles/s %7.4f allocs/cycle %6.1f B/cycle  sched %2.0f%% insert %2.0f%% fetch %2.0f%%  %s\n",
+			cr.Name, cr.UopsPerSec/1e3, perHost(&rep, cr.UopsPerSec), cr.CyclesPerSec/1e3,
 			cr.AllocsPerCycle, cr.BytesPerCycle,
 			100*cr.Stages.Sched, 100*cr.Stages.Insert, 100*cr.Stages.Fetch, status)
 	}
-
-	// End-to-end Table 2 sweep, the BenchmarkTable2 workload, once per
-	// kernel×layout corner on identical pre-generated programs.
-	r := experiments.NewRunner(t2Insts)
-	for _, b := range workload.Names() {
-		if _, err := r.Program(b); err != nil {
-			fatalf("generate %s: %v", b, err)
-		}
-	}
-	if rep.Table2, rep.Table2Entry, rep.Table2EntryLayout, err = runTable2Corners(r, t2Insts, t2Reps); err != nil {
-		fatalf("%v", err)
-	}
-	rep.KernelSpeedup = rep.Table2.UopsPerSec / rep.Table2Entry.UopsPerSec
-	rep.LayoutSpeedup = rep.Table2.UopsPerSec / rep.Table2EntryLayout.UopsPerSec
-	fmt.Printf("table2 bitset/soa    %8.0f kuops/s (%d cells, %.2fs wall)\n",
-		rep.Table2.UopsPerSec/1e3, rep.Table2.Cells, rep.Table2.WallSec)
-	fmt.Printf("table2 entry-kernel  %8.0f kuops/s (%d cells, %.2fs wall)\n",
-		rep.Table2Entry.UopsPerSec/1e3, rep.Table2Entry.Cells, rep.Table2Entry.WallSec)
-	fmt.Printf("table2 entry-layout  %8.0f kuops/s (%d cells, %.2fs wall)\n",
-		rep.Table2EntryLayout.UopsPerSec/1e3, rep.Table2EntryLayout.Cells, rep.Table2EntryLayout.WallSec)
-	kStatus, lStatus := "ok", "ok"
-	if rep.KernelSpeedup < minKSpeed {
-		kStatus = fmt.Sprintf("FAIL (< %.2f)", minKSpeed)
-		failed = true
-	}
-	if rep.LayoutSpeedup < minLSpeed {
-		lStatus = fmt.Sprintf("FAIL (< %.2f)", minLSpeed)
-		failed = true
-	}
-	fmt.Printf("kernel speedup %.2fx  %s\nlayout speedup %.2fx  %s\n",
-		rep.KernelSpeedup, kStatus, rep.LayoutSpeedup, lStatus)
+	fmt.Printf("%-13s %8.0f kuops/s %7.4f uops/host-step (%d cells, %.2fs wall)\n",
+		"table2", rep.Table2.UopsPerSec/1e3, perHost(&rep, rep.Table2.UopsPerSec),
+		rep.Table2.Cells, rep.Table2.WallSec)
 
 	if base != nil {
 		fails := gateRegressions(&rep, base, maxRegress)
@@ -587,7 +594,7 @@ func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts
 	}
 	fmt.Printf("wrote %s\n", out)
 	if failed {
-		fmt.Fprintln(os.Stderr, "mopbench: perf gate failed (allocs/cycle, speedup, or baseline regression)")
+		fmt.Fprintln(os.Stderr, "mopbench: perf gate failed (allocs/cycle or baseline regression)")
 	}
 	return failed
 }

@@ -43,8 +43,6 @@ func main() {
 	var (
 		bench    = flag.String("bench", "gzip", "benchmark name ("+strings.Join(workload.Names(), ", ")+")")
 		sched    = flag.String("sched", "base", "scheduler: base, 2cycle, mop, sf-squash, sf-scoreboard")
-		kernel   = flag.String("kernel", "bitset", "scheduler kernel: bitset (bit-parallel SoA, default) or entry (linked reference); results are identical, only speed differs")
-		layout   = flag.String("layout", "soa", "core pipeline layout: soa (uop-arena, default) or entry (pointer-linked reference); results are identical, only speed differs")
 		wakeup   = flag.String("wakeup", "wired-or", "MOP wakeup style: 2src, wired-or")
 		iq       = flag.Int("iq", 32, "issue queue entries (0 = unrestricted)")
 		stages   = flag.Int("stages", 1, "extra MOP formation stages (0..2)")
@@ -108,22 +106,6 @@ func main() {
 		m = m.WithSched(config.SchedSelectFreeScoreboard)
 	default:
 		fatalf("unknown scheduler %q", *sched)
-	}
-	switch *kernel {
-	case "bitset":
-		m = m.WithKernel(config.KernelBitset)
-	case "entry":
-		m = m.WithKernel(config.KernelEntry)
-	default:
-		fatalf("unknown kernel %q", *kernel)
-	}
-	switch *layout {
-	case "soa":
-		m = m.WithLayout(config.LayoutSoA)
-	case "entry":
-		m = m.WithLayout(config.LayoutEntry)
-	default:
-		fatalf("unknown layout %q", *layout)
 	}
 
 	prof, err := workload.ByName(*bench)

@@ -148,73 +148,3 @@ func TestGolden(t *testing.T) {
 func goldenPath(cfg string) string {
 	return filepath.Join("testdata", "golden", cfg+".golden")
 }
-
-// TestKernelDifferential runs the full golden matrix under both scheduler
-// kernels — the entry-linked reference and the bit-parallel default — and
-// requires byte-identical checker Record lines for every cell: same
-// checksums, same cycle counts, same replay/MOP statistics. Together with
-// the goldens (pinned under the bitset kernel) this proves the kernels
-// are observationally equivalent on every benchmark and scheduling model,
-// not just on the unit-test scripts.
-func TestKernelDifferential(t *testing.T) {
-	benches := workload.Names()
-	cfgs := goldenConfigs()
-	if testing.Short() {
-		benches = benches[:3]
-		cfgs = cfgs[:3]
-	}
-	kernels := []config.SchedKernel{config.KernelEntry, config.KernelBitset}
-
-	type key struct {
-		cfg, bench string
-		kernel     config.SchedKernel
-	}
-	lines := make(map[key]string)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for _, gc := range cfgs {
-		for _, b := range benches {
-			for _, kn := range kernels {
-				wg.Add(1)
-				go func(gc goldenConfig, b string, kn config.SchedKernel) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					prof, err := workload.ByName(b)
-					if err != nil {
-						t.Errorf("%s/%s/%v: %v", gc.name, b, kn, err)
-						return
-					}
-					prog, err := workload.Generate(prof)
-					if err != nil {
-						t.Errorf("%s/%s/%v: generate: %v", gc.name, b, kn, err)
-						return
-					}
-					res, sum, err := checker.CheckedRun(gc.m.WithKernel(kn), prog, goldenInsts, goldenInsts)
-					if err != nil {
-						t.Errorf("%s/%s/%v: %v", gc.name, b, kn, err)
-						return
-					}
-					mu.Lock()
-					lines[key{gc.name, b, kn}] = checker.RecordOf(sum, res).Line()
-					mu.Unlock()
-				}(gc, b, kn)
-			}
-		}
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	for _, gc := range cfgs {
-		for _, b := range benches {
-			ref := lines[key{gc.name, b, config.KernelEntry}]
-			bit := lines[key{gc.name, b, config.KernelBitset}]
-			if ref != bit {
-				t.Errorf("%s/%s: kernels diverged:\n  entry:  %s\n  bitset: %s", gc.name, b, ref, bit)
-			}
-		}
-	}
-}

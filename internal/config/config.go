@@ -50,66 +50,6 @@ func (m SchedModel) String() string {
 	return fmt.Sprintf("sched(%d)", int(m))
 }
 
-// SchedKernel selects the scheduler implementation. Both kernels are
-// cycle-exact models of the same five SchedModel variants; they differ
-// only in data layout and therefore in simulation throughput.
-type SchedKernel int
-
-// Scheduler kernels.
-const (
-	// KernelBitset is the bit-parallel structure-of-arrays kernel:
-	// entries live in parallel arrays indexed by an age-ring slot,
-	// wakeup is a bitmask broadcast over per-producer consumer masks,
-	// and select is a priority-decoder bit scan over the ready mask.
-	// This is the default.
-	KernelBitset SchedKernel = iota
-	// KernelEntry is the original pointer-linked entry kernel, retained
-	// as the reference model for differential testing.
-	KernelEntry
-)
-
-// String names the kernel as reported in benchmark output.
-func (k SchedKernel) String() string {
-	switch k {
-	case KernelBitset:
-		return "bitset"
-	case KernelEntry:
-		return "entry"
-	}
-	return fmt.Sprintf("kernel(%d)", int(k))
-}
-
-// CoreLayout selects the data layout of the core pipeline (fetch ring,
-// front-end queue, rename/MOP formation, ROB). Both layouts are
-// cycle-exact models of the same machine; they differ only in how the
-// in-flight instruction window is stored and therefore in simulation
-// throughput — the core-side counterpart of SchedKernel.
-type CoreLayout int
-
-// Core pipeline layouts.
-const (
-	// LayoutSoA is the structure-of-arrays uop arena: in-flight
-	// instructions are uint32 handles into parallel arrays with
-	// generation-guarded free-list recycling, and the ROB, fetch ring,
-	// and front-end queue are index rings over the arena. This is the
-	// default.
-	LayoutSoA CoreLayout = iota
-	// LayoutEntry is the original pointer-linked uop layout, retained as
-	// the reference model for differential testing.
-	LayoutEntry
-)
-
-// String names the layout as reported in benchmark output.
-func (l CoreLayout) String() string {
-	switch l {
-	case LayoutSoA:
-		return "soa"
-	case LayoutEntry:
-		return "entry"
-	}
-	return fmt.Sprintf("layout(%d)", int(l))
-}
-
 // WakeupStyle selects the wakeup array style for macro-op scheduling
 // (Section 2.2): CAM-style with two source comparators, or wired-OR-style
 // dependence vectors with no source-count restriction.
@@ -213,10 +153,8 @@ type Machine struct {
 	// built-in default of 10000).
 	ReplayStormLimit int
 
-	Sched  SchedModel
-	Kernel SchedKernel
-	Layout CoreLayout
-	MOP    MOPConfig
+	Sched SchedModel
+	MOP   MOPConfig
 
 	Branch branch.Config
 	Mem    cache.HierarchyConfig
@@ -283,10 +221,6 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: MOP scope must be at least one group")
 	case m.MOP.DetectionDelay < 0 || m.MOP.ExtraFormationStages < 0:
 		return fmt.Errorf("config: negative MOP latencies")
-	case m.Kernel != KernelBitset && m.Kernel != KernelEntry:
-		return fmt.Errorf("config: unknown scheduler kernel %v", m.Kernel)
-	case m.Layout != LayoutSoA && m.Layout != LayoutEntry:
-		return fmt.Errorf("config: unknown core layout %v", m.Layout)
 	}
 	for _, c := range []cache.Config{m.Mem.IL1, m.Mem.DL1, m.Mem.L2} {
 		if err := c.Validate(); err != nil {
@@ -344,18 +278,6 @@ func (m Machine) FUCount(class int) int {
 // WithSched returns a copy using the given scheduler model.
 func (m Machine) WithSched(s SchedModel) Machine {
 	m.Sched = s
-	return m
-}
-
-// WithKernel returns a copy using the given scheduler kernel.
-func (m Machine) WithKernel(k SchedKernel) Machine {
-	m.Kernel = k
-	return m
-}
-
-// WithLayout returns a copy using the given core pipeline layout.
-func (m Machine) WithLayout(l CoreLayout) Machine {
-	m.Layout = l
 	return m
 }
 

@@ -33,36 +33,29 @@ func TestStepAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := workloadtest.Generate(t, prof)
-	layouts := map[string]config.CoreLayout{
-		"soa":   config.LayoutSoA,
-		"entry": config.LayoutEntry,
-	}
 	for name, m := range allocConfigs() {
-		for lname, layout := range layouts {
-			m := m.WithLayout(layout)
-			t.Run(name+"/"+lname, func(t *testing.T) {
-				c, err := New(m, prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Warm-up: grow every pool, ring, and scratch buffer to its
-				// steady-state footprint (and fault in the functional model's
-				// memory pages).
-				if _, err := c.Run(30_000); err != nil {
-					t.Fatal(err)
-				}
-				avg := testing.AllocsPerRun(50, func() {
-					for i := 0; i < 200; i++ {
-						c.step()
-					}
-				})
-				if avg != 0 {
-					t.Errorf("%s: %.2f allocs per 200-cycle block in steady state, want 0", name, avg)
-				}
-				if err := c.eng.runErr(); err != nil {
-					t.Fatalf("stepping failed: %v", err)
+		t.Run(name, func(t *testing.T) {
+			c, err := New(m, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm-up: grow every pool, ring, and scratch buffer to its
+			// steady-state footprint (and fault in the functional model's
+			// memory pages).
+			if _, err := c.Run(30_000); err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(50, func() {
+				for i := 0; i < 200; i++ {
+					c.step()
 				}
 			})
-		}
+			if avg != 0 {
+				t.Errorf("%s: %.2f allocs per 200-cycle block in steady state, want 0", name, avg)
+			}
+			if err := c.runErr(); err != nil {
+				t.Fatalf("stepping failed: %v", err)
+			}
+		})
 	}
 }

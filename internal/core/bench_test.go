@@ -22,10 +22,8 @@ func BenchmarkCycleLoop(b *testing.B) {
 		b.Fatal(err)
 	}
 	for name, m := range map[string]config.Machine{
-		"base":       config.Default(),
-		"mop":        config.Default().WithMOP(config.DefaultMOP()),
-		"base-entry": config.Default().WithLayout(config.LayoutEntry),
-		"mop-entry":  config.Default().WithMOP(config.DefaultMOP()).WithLayout(config.LayoutEntry),
+		"base": config.Default(),
+		"mop":  config.Default().WithMOP(config.DefaultMOP()),
 	} {
 		b.Run(name, func(b *testing.B) {
 			c, err := New(m, prog)
@@ -41,7 +39,7 @@ func BenchmarkCycleLoop(b *testing.B) {
 				c.step()
 			}
 			b.StopTimer()
-			if err := c.eng.runErr(); err != nil {
+			if err := c.runErr(); err != nil {
 				b.Fatalf("stepping failed: %v", err)
 			}
 			cycles, committed := c.Progress()

@@ -49,6 +49,35 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunResultIsACopy checks that a Result returned by Run is the
+// caller's own value: running the same core further must not change it.
+// Callers such as the service's result cache keep these pointers, and a
+// view into the core would keep the whole core reachable.
+func TestRunResultIsACopy(t *testing.T) {
+	prof, _ := workload.ByName("gzip")
+	prog := workloadtest.Generate(t, prof)
+	c, err := New(config.Default().WithMOP(config.DefaultMOP()), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Run(20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := *first
+	second, err := c.Run(40000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *first != snap {
+		t.Fatalf("Run(20000)'s result changed when the core ran on: %d insts / %d cycles, was %d / %d",
+			first.Committed, first.Cycles, snap.Committed, snap.Cycles)
+	}
+	if second.Committed <= snap.Committed {
+		t.Fatalf("second Run committed %d, want more than %d", second.Committed, snap.Committed)
+	}
+}
+
 func TestIndependentStreamNearWidth(t *testing.T) {
 	// 16 fully independent single-cycle ops per iteration: IPC should
 	// approach the 4-wide limit (taken loop branch breaks fetch groups,

@@ -18,18 +18,17 @@ import (
 
 const ringSize = 256 // recently fetched uops kept for MOP formation checks
 
-// entryCore is the pointer-linked reference implementation of the core
-// pipeline (config.LayoutEntry): in-flight instructions are heap-pooled
-// *uop structs linked by pointers. It is retained as the differential
-// reference for the structure-of-arrays layout (soacore.go), exactly as
-// the entry scheduler kernel is retained for the bitset kernel.
-type entryCore struct {
+// Core simulates one machine configuration over one instruction stream.
+// In-flight instructions are heap-pooled *uop structs (uop.go) linked by
+// pointer. This file holds the pipeline stages, form.go the MOP-formation
+// half of rename, and pipeline.go the run loop.
+type Core struct {
 	cfg  config.Machine
 	name string
 	src  functional.Source
 	pred *branch.Predictor
 	mem  *cache.Hierarchy
-	sch  sched.Engine
+	sch  *sched.BitScheduler
 	det  *mop.Detector
 	ptab *mop.PointerTable
 
@@ -97,9 +96,12 @@ type entryCore struct {
 	res Result
 }
 
-// newEntryCore builds the pointer-linked reference core. The caller
-// (core.NewFromSource) has already validated cfg.
-func newEntryCore(cfg config.Machine, name string, src functional.Source) (*entryCore, error) {
+// NewFromSource builds a core that fetches from an arbitrary dynamic
+// instruction source (a functional simulator, a trace reader, ...).
+func NewFromSource(cfg config.Machine, name string, src functional.Source) (*Core, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	var fu [isa.NumClasses]int
 	for c := range fu {
 		fu[c] = cfg.FUCount(c)
@@ -112,7 +114,7 @@ func newEntryCore(cfg config.Machine, name string, src functional.Source) (*entr
 	if err != nil {
 		return nil, err
 	}
-	c := &entryCore{
+	c := &Core{
 		cfg:      cfg,
 		name:     name,
 		src:      src,
@@ -124,7 +126,7 @@ func newEntryCore(cfg config.Machine, name string, src functional.Source) (*entr
 		dynsBuf:  make([]*functional.DynInst, 0, cfg.Width),
 		claimBuf: make([]*uop, 0, sched.MaxMOPOps),
 	}
-	c.sch = sched.NewEngine(cfg.Kernel, sched.Config{
+	c.sch = sched.NewBit(sched.Config{
 		Model:         cfg.Sched,
 		Width:         cfg.Width,
 		IQEntries:     cfg.IQEntries,
@@ -143,32 +145,21 @@ func newEntryCore(cfg config.Machine, name string, src functional.Source) (*entr
 	return c, nil
 }
 
-// engine interface: the layout-independent run loop (pipeline.go) drives
-// the layout-specific machinery through these accessors.
-
-func (c *entryCore) drained() bool {
+// drained reports whether the program has ended and the pipeline is empty.
+func (c *Core) drained() bool {
 	return c.fetchDone && c.robCount == 0 && c.feqLen == 0
 }
 
-func (c *entryCore) progress() (cycles, committed int64) {
-	return c.cycle, c.cnt.committed
-}
-
 // runErr reports a pending instruction-source or hook error.
-func (c *entryCore) runErr() error {
+func (c *Core) runErr() error {
 	if c.srcErr != nil {
 		return c.srcErr
 	}
 	return c.hookErr
 }
 
-func (c *entryCore) scheduler() sched.Engine     { return c.sch }
-func (c *entryCore) setTracer(t Tracer)          { c.tracer = t }
-func (c *entryCore) setHooks(h Hooks)            { c.hooks = h }
-func (c *entryCore) setStageClock(k *stageClock) { c.clock = k }
-
 // errCtx captures the machine's position for error reports.
-func (c *entryCore) errCtx() simerr.Context {
+func (c *Core) errCtx() simerr.Context {
 	return simerr.Context{
 		Benchmark: c.name,
 		Sched:     c.cfg.Sched.String(),
@@ -179,7 +170,7 @@ func (c *entryCore) errCtx() simerr.Context {
 
 // fillCtx completes an error context produced by a subsystem that only
 // knows the cycle (e.g. the scheduler) with the run's identity.
-func (c *entryCore) fillCtx(ctx *simerr.Context) {
+func (c *Core) fillCtx(ctx *simerr.Context) {
 	if ctx.Benchmark == "" {
 		ctx.Benchmark = c.name
 	}
@@ -197,7 +188,7 @@ func (c *entryCore) fillCtx(ctx *simerr.Context) {
 // stateDump renders the pipeline state for deadlock diagnostics: ROB and
 // issue-queue occupancy, the age of the stuck ROB head, replay counts,
 // and the oldest unissued scheduler entries.
-func (c *entryCore) stateDump() string {
+func (c *Core) stateDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle %d: ROB %d/%d, IQ %d occupied, fetch buffer %d, fetchDone=%v\n",
 		c.cycle, c.robCount, c.cfg.ROBEntries, c.sch.Occupied(), c.feqLen, c.fetchDone)
@@ -217,7 +208,7 @@ func (c *entryCore) stateDump() string {
 }
 
 // step advances one clock cycle.
-func (c *entryCore) step() {
+func (c *Core) step() {
 	if c.clock != nil {
 		c.stepTimed()
 		return
@@ -236,7 +227,7 @@ func (c *entryCore) step() {
 
 // stepTimed is step with per-stage wall-time accounting. It is a
 // separate copy so the untimed loop pays only one nil check per cycle.
-func (c *entryCore) stepTimed() {
+func (c *Core) stepTimed() {
 	k := c.clock
 	t0 := k.now()
 	c.commit()
@@ -261,7 +252,7 @@ func (c *entryCore) stepTimed() {
 // ringSize fetches in the past — far beyond the in-flight window (ROB +
 // fetch buffer), so nothing can still reference it except a fetch stall
 // on a mispredicted branch (excluded explicitly).
-func (c *entryCore) ringPut(u *uop) {
+func (c *Core) ringPut(u *uop) {
 	idx := u.streamIdx % ringSize
 	if old := c.ring[idx]; old != nil && old.committed && old != c.stallBranch {
 		c.uopFree = append(c.uopFree, old)
@@ -271,7 +262,7 @@ func (c *entryCore) ringPut(u *uop) {
 
 // allocUop pops the uop pool (or allocates on cold start) and returns a
 // zeroed uop.
-func (c *entryCore) allocUop() *uop {
+func (c *Core) allocUop() *uop {
 	if n := len(c.uopFree); n > 0 {
 		u := c.uopFree[n-1]
 		c.uopFree[n-1] = nil
@@ -283,16 +274,16 @@ func (c *entryCore) allocUop() *uop {
 }
 
 // feqPush appends to the front-end delay line ring.
-func (c *entryCore) feqPush(u *uop) {
+func (c *Core) feqPush(u *uop) {
 	c.feq[(c.feqHead+c.feqLen)%len(c.feq)] = u
 	c.feqLen++
 }
 
 // feqFront returns the oldest queued uop (feqLen must be > 0).
-func (c *entryCore) feqFront() *uop { return c.feq[c.feqHead] }
+func (c *Core) feqFront() *uop { return c.feq[c.feqHead] }
 
 // feqPop removes the oldest queued uop.
-func (c *entryCore) feqPop() {
+func (c *Core) feqPop() {
 	c.feq[c.feqHead] = nil
 	c.feqHead = (c.feqHead + 1) % len(c.feq)
 	c.feqLen--
@@ -302,12 +293,12 @@ func (c *entryCore) feqPop() {
 // Issue (scheduling) stage: drive the scheduler and apply per-grant
 // consequences (cache probes for loads, branch resolution bookkeeping).
 
-func (c *entryCore) issue() {
+func (c *Core) issue() {
 	c.applyGrants(c.sch.Tick(c.cycle))
 }
 
 // applyGrants applies the per-grant consequences of one scheduler tick.
-func (c *entryCore) applyGrants(grants []sched.Grant) {
+func (c *Core) applyGrants(grants []sched.Grant) {
 	for _, g := range grants {
 		// UserData holds the entry's head uop (a bare pointer, so storing
 		// it in the interface never allocates); members[0] is the head
@@ -353,7 +344,7 @@ func (c *entryCore) applyGrants(grants []sched.Grant) {
 // ---------------------------------------------------------------------
 // Fetch stage.
 
-func (c *entryCore) fetch() {
+func (c *Core) fetch() {
 	if c.fetchDone {
 		return
 	}
@@ -426,7 +417,7 @@ func (c *entryCore) fetch() {
 
 // predictBranch runs fetch-time prediction for u, updates predictor state,
 // and reports whether the fetch group must end (redirect or mispredict).
-func (c *entryCore) predictBranch(u *uop) bool {
+func (c *Core) predictBranch(u *uop) bool {
 	op := u.op()
 	d := &u.d
 	switch {
@@ -466,7 +457,7 @@ func (c *entryCore) predictBranch(u *uop) bool {
 // peekDyn returns the next fused dynamic instruction without consuming
 // it. The returned pointer aliases the core's single pending-instruction
 // buffer: it is valid until the next peekDyn after a take.
-func (c *entryCore) peekDyn() *functional.DynInst {
+func (c *Core) peekDyn() *functional.DynInst {
 	if c.havePending {
 		return &c.pendingDyn
 	}
@@ -488,7 +479,7 @@ func (c *entryCore) peekDyn() *functional.DynInst {
 
 // takeDyn consumes the next fused dynamic instruction as a uop, merging a
 // following STD into its STA.
-func (c *entryCore) takeDyn() *uop {
+func (c *Core) takeDyn() *uop {
 	d := c.peekDyn()
 	c.havePending = false
 	u := c.allocUop()
@@ -516,7 +507,7 @@ func (c *entryCore) takeDyn() *uop {
 // ---------------------------------------------------------------------
 // Queue-insert stage (rename + MOP formation + issue queue insertion).
 
-func (c *entryCore) insert() {
+func (c *Core) insert() {
 	inserted := 0
 	group := c.groupBuf[:0]
 	for c.feqLen > 0 && inserted < c.cfg.Width {
@@ -545,7 +536,7 @@ func (c *entryCore) insert() {
 }
 
 // robPush appends to the ROB ring.
-func (c *entryCore) robPush(u *uop) {
+func (c *Core) robPush(u *uop) {
 	c.rob[(c.robHead+c.robCount)%len(c.rob)] = u
 	c.robCount++
 	u.inserted = true
@@ -555,7 +546,7 @@ func (c *entryCore) robPush(u *uop) {
 // excluding x (the intra-MOP producer) when attaching a tail.
 // The returned slices are scratch (specsBuf/prodsBuf) valid until the
 // next srcSpecs call; callers copy what they keep.
-func (c *entryCore) srcSpecs(u *uop, exclude *sched.Entry) ([]sched.SrcSpec, []prodRef) {
+func (c *Core) srcSpecs(u *uop, exclude *sched.Entry) ([]sched.SrcSpec, []prodRef) {
 	specs := c.specsBuf[:0]
 	prods := c.prodsBuf[:0]
 	for _, r := range [2]isa.Reg{u.d.Inst.Src1, u.d.Inst.Src2} {
@@ -572,9 +563,9 @@ func (c *entryCore) srcSpecs(u *uop, exclude *sched.Entry) ([]sched.SrcSpec, []p
 	return specs, prods
 }
 
-func (c *entryCore) loadAssumed() int { return c.mem.LoadAssumedLatency() }
+func (c *Core) loadAssumed() int { return c.mem.LoadAssumedLatency() }
 
-func (c *entryCore) finishStats() *Result {
+func (c *Core) finishStats() *Result {
 	c.res.Cycles = c.cycle
 	if c.cycle > 0 {
 		c.res.IPC = float64(c.cnt.committed) / float64(c.cycle)
@@ -614,13 +605,16 @@ func (c *entryCore) finishStats() *Result {
 		c.res.PointerInstalls = c.ptab.Installs()
 		c.res.PointerDeletes = c.ptab.Deletes()
 	}
-	return &c.res
+	// Return a copy: callers keep results (the service's result cache
+	// does), and a pointer into the core would keep the whole core live.
+	r := c.res
+	return &r
 }
 
 // ---------------------------------------------------------------------
 // Commit stage.
 
-func (c *entryCore) commit() {
+func (c *Core) commit() {
 	for n := 0; n < c.cfg.Width && c.robCount > 0; n++ {
 		u := c.rob[c.robHead]
 		if !c.committable(u) {
@@ -634,7 +628,7 @@ func (c *entryCore) commit() {
 }
 
 // committable reports whether the ROB head has fully completed.
-func (c *entryCore) committable(u *uop) bool {
+func (c *Core) committable(u *uop) bool {
 	if u.entry == nil || !u.entry.Final() {
 		return false
 	}
@@ -647,7 +641,7 @@ func (c *entryCore) committable(u *uop) bool {
 // commitReadyAt returns the earliest cycle u may commit: its own result's
 // availability, and for a fused store also the store-data producer's. The
 // entry (and data producer, if any) must already be final.
-func (c *entryCore) commitReadyAt(u *uop) int64 {
+func (c *Core) commitReadyAt(u *uop) int64 {
 	done := u.entry.ActualReady(u.opIdx) + int64(c.cfg.ExecOffset)
 	if u.isStore() && u.dataProd.entry != nil {
 		p := u.dataProd
@@ -658,7 +652,7 @@ func (c *entryCore) commitReadyAt(u *uop) int64 {
 
 // retire commits one instruction: stores write the data cache, MOP
 // statistics and the last-arriving filter run here.
-func (c *entryCore) retire(u *uop) {
+func (c *Core) retire(u *uop) {
 	u.committed = true
 	c.trace(u, StageCommit, c.cycle)
 	c.hookCommit(u)

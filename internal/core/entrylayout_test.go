@@ -38,10 +38,10 @@ func prodSliceInsideArr(s []prodRef, arr []prodRef) bool {
 	return false
 }
 
-// TestEntryLayoutEmbeddedSliceHeaders checks the entry layout's
-// zero-alloc invariant at the data-structure level: every live uop's
-// members/headProds/tailProds slice header stays inside the uop's own
-// embedded backing array across pool reuse. If the rename or MOP
+// TestEntryLayoutEmbeddedSliceHeaders checks the pointer-linked uop
+// layout's zero-alloc invariant at the data-structure level: every live
+// uop's members/headProds/tailProds slice header stays inside the uop's
+// own embedded backing array across pool reuse. If the rename or MOP
 // formation path ever appends past the embedded capacity, the slice
 // silently migrates to a fresh heap array — correctness survives but the
 // steady state starts allocating — so the aliasing itself is the
@@ -55,14 +55,9 @@ func TestEntryLayoutEmbeddedSliceHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := config.Default().WithMOP(config.DefaultMOP()).WithLayout(config.LayoutEntry)
-	c, err := New(m, prog)
+	c, err := New(config.Default().WithMOP(config.DefaultMOP()), prog)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ec, ok := c.eng.(*entryCore)
-	if !ok {
-		t.Fatal("LayoutEntry did not select the entry core")
 	}
 
 	check := func(where string, u *uop) {
@@ -89,17 +84,17 @@ func TestEntryLayoutEmbeddedSliceHeaders(t *testing.T) {
 	}
 	for i := 0; i < 30_000; i++ {
 		c.step()
-		if err := ec.runErr(); err != nil {
+		if err := c.runErr(); err != nil {
 			t.Fatal(err)
 		}
 		if i%512 != 0 {
 			continue
 		}
-		for j := range ec.rob {
-			check("rob", ec.rob[j])
+		for j := range c.rob {
+			check("rob", c.rob[j])
 		}
-		for j := range ec.ring {
-			check("ring", ec.ring[j])
+		for j := range c.ring {
+			check("ring", c.ring[j])
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // formation (claiming a tail via the MOP pointer, or joining the head's
 // entry as the tail), dependence translation into entry/op references,
 // and issue queue insertion.
-func (c *entryCore) renameAndInsert(u *uop) {
+func (c *Core) renameAndInsert(u *uop) {
 	u.insertedCycle = c.cycle
 	c.trace(u, StageInsert, c.cycle)
 
@@ -89,7 +89,7 @@ func (c *entryCore) renameAndInsert(u *uop) {
 // finishRename records the store-data producer and updates the rename
 // table with this uop's destination (dependence translation: both MOP ops
 // map to the same entry, Figure 10).
-func (c *entryCore) finishRename(u *uop) {
+func (c *Core) finishRename(u *uop) {
 	if u.dataReg != isa.NoReg && u.dataReg != isa.R0 {
 		u.dataProd = c.rename[u.dataReg]
 		if u.dataProd.entry != nil {
@@ -113,7 +113,7 @@ func (c *entryCore) finishRename(u *uop) {
 // claims it; with the chained-MOP extension enabled it keeps following
 // pointers up to MaxMOPSize members. Returns whether u was inserted as a
 // pending MOP head.
-func (c *entryCore) tryClaimTail(u *uop) bool {
+func (c *Core) tryClaimTail(u *uop) bool {
 	maxOps := c.cfg.MOP.MaxMOPSize
 	members := append(c.claimBuf[:0], u)
 	cur := u
@@ -148,7 +148,7 @@ func (c *entryCore) tryClaimTail(u *uop) bool {
 
 // nextChainMember resolves one MOP pointer link from cur, validating the
 // insertion-window and control-flow constraints.
-func (c *entryCore) nextChainMember(cur *uop, countStats bool) (*uop, bool) {
+func (c *Core) nextChainMember(cur *uop, countStats bool) (*uop, bool) {
 	ptr, tailPC, ok := c.ptab.Lookup(cur.d.PC, c.cycle)
 	if !ok {
 		return nil, false
@@ -190,7 +190,7 @@ func (c *entryCore) nextChainMember(cur *uop, countStats bool) (*uop, bool) {
 // stream positions with the same rules as MOP detection: no indirect
 // jumps, at most one control instruction if any is taken; the returned
 // bit records a single taken direct control.
-func (c *entryCore) controlClassBetween(from, to int64) (controlBit, ok bool) {
+func (c *Core) controlClassBetween(from, to int64) (controlBit, ok bool) {
 	nControl, nTaken := 0, 0
 	for i := from; i < to; i++ {
 		x := c.ring[i%ringSize]
@@ -222,7 +222,7 @@ func (c *entryCore) controlClassBetween(from, to int64) (controlBit, ok bool) {
 // afterInsertGroup runs once per non-empty insert group: it feeds the MOP
 // detector with the renamed group and demotes pending heads whose tail
 // missed the same-or-next-group insertion window.
-func (c *entryCore) afterInsertGroup(group []*uop) {
+func (c *Core) afterInsertGroup(group []*uop) {
 	if c.det != nil {
 		// The detector copies each DynInst into its own slot value before
 		// returning, so handing it scratch pointers into pooled uops is
@@ -260,7 +260,7 @@ const pendingHeadTimeout = 40
 // demote cancels a pending MOP head: the entry proceeds with whatever
 // members were attached (possibly just the head), and members that never
 // arrived are unclaimed so they insert normally (Sections 5.2.3/5.3.2).
-func (c *entryCore) demote(h *uop) {
+func (c *Core) demote(h *uop) {
 	c.sch.CancelTail(h.entry)
 	c.cnt.mopsDemoted++
 	if h.attachedOps == 0 {
@@ -281,7 +281,7 @@ func (c *entryCore) demote(h *uop) {
 	}
 }
 
-func (c *entryCore) removePendingHead(h *uop) {
+func (c *Core) removePendingHead(h *uop) {
 	for i, x := range c.pendingHeads {
 		if x == h {
 			c.pendingHeads = append(c.pendingHeads[:i], c.pendingHeads[i+1:]...)
@@ -294,7 +294,7 @@ func (c *entryCore) removePendingHead(h *uop) {
 // issue was triggered by a tail-side operand arriving after every
 // head-side operand, the pointer is deleted (and the pair blacklisted) so
 // detection finds an alternative pairing.
-func (c *entryCore) lastArrivingFilter(h *uop) {
+func (c *Core) lastArrivingFilter(h *uop) {
 	if h.entry == nil || !h.entry.IsMOP() || h.entry.NumOps() != 2 {
 		return
 	}
@@ -319,7 +319,7 @@ func (c *entryCore) lastArrivingFilter(h *uop) {
 }
 
 // accountMOP classifies a committed instruction for Figure 13.
-func (c *entryCore) accountMOP(u *uop) {
+func (c *Core) accountMOP(u *uop) {
 	op := u.op()
 	switch {
 	case !op.IsMOPCandidate():

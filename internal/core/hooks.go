@@ -60,7 +60,7 @@ type Hooks interface {
 }
 
 // hookIssue forwards a grant to the hooks, capturing the first error.
-func (c *entryCore) hookIssue(u *uop, cycle int64) {
+func (c *Core) hookIssue(u *uop, cycle int64) {
 	if c.hooks == nil || c.hookErr != nil {
 		return
 	}
@@ -75,7 +75,7 @@ func (c *entryCore) hookIssue(u *uop, cycle int64) {
 // hookCommit forwards a retirement to the hooks. It must run before
 // retire severs the uop's producer references, while commitReadyAt can
 // still see the store-data producer.
-func (c *entryCore) hookCommit(u *uop) {
+func (c *Core) hookCommit(u *uop) {
 	if c.hooks == nil || c.hookErr != nil {
 		return
 	}
@@ -93,7 +93,7 @@ func (c *entryCore) hookCommit(u *uop) {
 }
 
 // hookMOPFormed reports a closed (or demoted-but-nonempty) macro-op.
-func (c *entryCore) hookMOPFormed(h *uop) {
+func (c *Core) hookMOPFormed(h *uop) {
 	if c.hooks == nil || c.hookErr != nil {
 		return
 	}
@@ -104,7 +104,7 @@ func (c *entryCore) hookMOPFormed(h *uop) {
 	c.hookErr = c.hooks.OnMOPFormed(h.entry.ID(), seqs)
 }
 
-func (c *entryCore) hookCycle() {
+func (c *Core) hookCycle() {
 	if c.hooks == nil || c.hookErr != nil {
 		return
 	}

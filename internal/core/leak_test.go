@@ -14,28 +14,23 @@ import (
 // a long run, the number of scheduler entries reachable from the core's
 // live structures must be bounded by the machine window, not by the
 // instruction count (regression test for the consumer-list accretion bug).
-// Both layouts are walked with their own root set.
 func TestBoundedRetention(t *testing.T) {
 	p, _ := workload.ByName("bzip")
 	prog := workloadtest.Generate(t, p)
-	for _, layout := range []config.CoreLayout{config.LayoutSoA, config.LayoutEntry} {
-		for _, m := range []config.Machine{
-			config.Default(),
-			config.Default().WithMOP(config.DefaultMOP()),
-			config.Default().WithSched(config.SchedSelectFreeScoreboard),
-		} {
-			m = m.WithLayout(layout)
-			c, err := New(m, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Run(200000); err != nil {
-				t.Fatal(err)
-			}
-			if n := reachableEntries(c); n > 5000 {
-				t.Fatalf("%v/%v: %d entries reachable after 200k insts (leak)",
-					m.Sched, layout, n)
-			}
+	for _, m := range []config.Machine{
+		config.Default(),
+		config.Default().WithMOP(config.DefaultMOP()),
+		config.Default().WithSched(config.SchedSelectFreeScoreboard),
+	} {
+		c, err := New(m, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(200000); err != nil {
+			t.Fatal(err)
+		}
+		if n := reachableEntries(c); n > 5000 {
+			t.Fatalf("%v: %d entries reachable after 200k insts (leak)", m.Sched, n)
 		}
 	}
 }
@@ -60,17 +55,6 @@ func TestRetainedHeapBounded(t *testing.T) {
 // reachableEntries counts distinct scheduler entries reachable through
 // any reference chain from the core's live structures.
 func reachableEntries(c *Core) int {
-	switch e := c.eng.(type) {
-	case *entryCore:
-		return reachableEntriesEntry(e)
-	case *soaCore:
-		return reachableEntriesSoa(e)
-	}
-	return -1
-}
-
-// reachableEntriesEntry walks the pointer-linked layout's roots.
-func reachableEntriesEntry(c *entryCore) int {
 	seenE := map[*sched.Entry]bool{}
 	seenU := map[*uop]bool{}
 	var queueE []*sched.Entry
@@ -128,87 +112,6 @@ func reachableEntriesEntry(c *entryCore) int {
 		addU(u.claimedBy)
 		for _, m := range u.members {
 			addU(m)
-		}
-	}
-	return len(seenE)
-}
-
-// reachableEntriesSoa walks the arena layout: live handles are the fetch
-// ring's valid refs, the ROB and fetch-buffer rings, and the active
-// fetch stall; per-handle entry references live in the entry column and
-// the prodRef segment prefixes.
-func reachableEntriesSoa(c *soaCore) int {
-	ar := &c.ar
-	seenE := map[*sched.Entry]bool{}
-	seenU := map[uint32]bool{}
-	var queueE []*sched.Entry
-	var queueU []uint32
-	addE := func(e *sched.Entry) {
-		if e != nil && !seenE[e] {
-			seenE[e] = true
-			queueE = append(queueE, e)
-		}
-	}
-	addU := func(h uint32) {
-		if h != nilHandle && !seenU[h] {
-			seenU[h] = true
-			queueU = append(queueU, h)
-		}
-	}
-	for _, r := range c.ring {
-		if ar.valid(r) {
-			addU(r.idx)
-		}
-	}
-	for i := 0; i < c.robCount; i++ {
-		addU(c.rob[(c.robHead+i)&c.robMask])
-	}
-	for i := 0; i < c.feqLen; i++ {
-		addU(c.feq[(c.feqHead+i)&c.feqMask])
-	}
-	if ar.valid(c.stallBranch) {
-		addU(c.stallBranch.idx)
-	}
-	for _, pr := range c.rename {
-		addE(pr.entry)
-	}
-	for _, e := range c.sch.DebugActive() {
-		addE(e)
-	}
-	for len(queueE) > 0 || len(queueU) > 0 {
-		if len(queueE) > 0 {
-			e := queueE[0]
-			queueE = queueE[1:]
-			refs, _ := e.DebugRefs()
-			for _, r := range refs {
-				addE(r)
-			}
-			if v := e.UserIdx; v != 0 {
-				h, gen := unpackUser(v)
-				if ar.gen[h] == gen {
-					addU(h)
-				}
-			}
-			continue
-		}
-		h := queueU[0]
-		queueU = queueU[1:]
-		addE(ar.entry[h])
-		hb := int(h) * headProdStride
-		for i := 0; i < int(ar.nHeadProds[h]); i++ {
-			addE(ar.headProds[hb+i].entry)
-		}
-		tb := int(h) * tailProdStride
-		for i := 0; i < int(ar.nTailProds[h]); i++ {
-			addE(ar.tailProds[tb+i].entry)
-		}
-		addE(ar.dataProd[h].entry)
-		if cb := ar.claimedBy[h]; ar.valid(cb) {
-			addU(cb.idx)
-		}
-		mb := int(h) * memberStride
-		for i := 0; i < int(ar.nMembers[h]); i++ {
-			addU(ar.members[mb+i])
 		}
 	}
 	return len(seenE)

@@ -11,65 +11,20 @@ import (
 	"macroop/internal/simerr"
 )
 
-// engine is the layout-specific half of the pipeline: one clock step plus
-// the accessors the shared run loop and the test/diagnostic surface need.
-type engine interface {
-	step()
-	drained() bool
-	progress() (cycles, committed int64)
-	runErr() error
-	scheduler() sched.Engine
-	errCtx() simerr.Context
-	fillCtx(*simerr.Context)
-	stateDump() string
-	finishStats() *Result
-	setTracer(Tracer)
-	setHooks(Hooks)
-	setStageClock(*stageClock)
-}
-
-// Core simulates one machine configuration over one instruction stream.
-type Core struct {
-	cfg   config.Machine
-	eng   engine
-	clock *stageClock // non-nil iff stage accounting is on
-}
-
 // New builds a core over prog with an embedded functional reference
 // stream.
 func New(cfg config.Machine, prog *program.Program) (*Core, error) {
 	return NewFromSource(cfg, prog.Name, functional.NewExecutor(prog))
 }
 
-// NewFromSource builds a core that fetches from an arbitrary dynamic
-// instruction source (a functional simulator, a trace reader, ...).
-func NewFromSource(cfg config.Machine, name string, src functional.Source) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var (
-		eng engine
-		err error
-	)
-	if cfg.Layout == config.LayoutEntry {
-		eng, err = newEntryCore(cfg, name, src)
-	} else {
-		eng, err = newSoaCore(cfg, name, src)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Core{cfg: cfg, eng: eng}, nil
-}
-
 // SetTracer attaches t to receive per-uop stage events. Pass nil to
 // detach. Tracing is off the hot path: with no tracer the per-event cost
 // is a nil check.
-func (c *Core) SetTracer(t Tracer) { c.eng.setTracer(t) }
+func (c *Core) SetTracer(t Tracer) { c.tracer = t }
 
 // SetHooks attaches h to receive issue/commit/MOP-formation/cycle
 // events. Pass nil to detach.
-func (c *Core) SetHooks(h Hooks) { c.eng.setHooks(h) }
+func (c *Core) SetHooks(h Hooks) { c.hooks = h }
 
 // SetStageAccounting toggles per-stage wall-time accounting. When on,
 // every cycle brackets each pipeline stage with monotonic clock reads —
@@ -82,7 +37,6 @@ func (c *Core) SetStageAccounting(on bool) {
 	} else {
 		c.clock = nil
 	}
-	c.eng.setStageClock(c.clock)
 }
 
 // StageBreakdown returns the per-stage time split accumulated since
@@ -97,16 +51,13 @@ func (c *Core) StageBreakdown() StageBreakdown {
 // Scheduler exposes the core's scheduler for diagnostic and
 // fault-injection use (internal/fault). Mutating it mid-run changes
 // simulated timing.
-func (c *Core) Scheduler() sched.Engine { return c.eng.scheduler() }
+func (c *Core) Scheduler() *sched.BitScheduler { return c.sch }
 
 // Progress reports the machine's cumulative cycle and committed-
 // instruction counters. Unlike Result, which is refreshed only when a
 // Run returns, these are live — callers interleaving StepCycles with
 // timed Run legs use them to delimit measurement windows.
-func (c *Core) Progress() (cycles, committed int64) { return c.eng.progress() }
-
-// step advances one clock cycle (test hook).
-func (c *Core) step() { c.eng.step() }
+func (c *Core) Progress() (cycles, committed int64) { return c.cycle, c.cnt.committed }
 
 // Run simulates until maxInsts instructions commit (or the program ends)
 // and returns the results.
@@ -133,51 +84,49 @@ const ctxPollCycles = 1024
 //   - ErrInternal for residual panics, recovered here so a simulator bug
 //     in one run cannot take down the whole process.
 func (c *Core) RunContext(ctx context.Context, maxInsts int64) (res *Result, err error) {
-	e := c.eng
 	defer func() {
 		if r := recover(); r != nil {
 			if ie, ok := r.(*simerr.InternalError); ok {
 				// Typed panic from a subsystem: keep its context if set,
 				// fill ours in where missing.
 				if ie.Ctx == (simerr.Context{}) {
-					ie.Ctx = e.errCtx()
+					ie.Ctx = c.errCtx()
 				} else {
-					e.fillCtx(&ie.Ctx)
+					c.fillCtx(&ie.Ctx)
 				}
 				res, err = nil, ie
 				return
 			}
-			res, err = nil, simerr.Internal(e.errCtx(), r, string(debug.Stack()))
+			res, err = nil, simerr.Internal(c.errCtx(), r, string(debug.Stack()))
 		}
 	}()
 	// An already-expired context stops the run before cycle 0 — without
 	// this, a cancelled sweep cell would still burn a full poll window
 	// (ctxPollCycles cycles) before noticing.
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, simerr.Cancelled(e.errCtx(), cerr)
+		return nil, simerr.Cancelled(c.errCtx(), cerr)
 	}
 	maxCycles := maxInsts * 1000
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
 	watchdog := c.cfg.EffectiveWatchdog()
-	sch := e.scheduler()
-	cycle, committed := e.progress()
+	cycle, committed := c.Progress()
 	lastCommitCycle := cycle
 	lastCommitted := committed
 	nextPoll := cycle + ctxPollCycles
 	for committed < maxInsts {
-		if e.drained() {
+		if c.drained() {
 			break // program ended and pipeline drained
 		}
-		e.step()
-		cycle, committed = e.progress()
-		if rerr := e.runErr(); rerr != nil {
+		c.step()
+		cycle, committed = c.Progress()
+		if rerr := c.runErr(); rerr != nil {
 			return nil, rerr
 		}
-		if serr := sch.Err(); serr != nil {
+		if serr := c.sch.Err(); serr != nil {
 			if se, ok := serr.(*simerr.Error); ok {
-				e.fillCtx(&se.Ctx)
+				c.fillCtx(&se.Ctx)
 			}
 			return nil, serr
 		}
@@ -185,22 +134,22 @@ func (c *Core) RunContext(ctx context.Context, maxInsts int64) (res *Result, err
 			lastCommitted = committed
 			lastCommitCycle = cycle
 		} else if watchdog > 0 && cycle-lastCommitCycle > watchdog {
-			return nil, simerr.Deadlock(e.errCtx(), e.stateDump(),
+			return nil, simerr.Deadlock(c.errCtx(), c.stateDump(),
 				"no commit for %d cycles (watchdog window %d)",
 				cycle-lastCommitCycle, watchdog)
 		}
 		if cycle >= nextPoll {
 			nextPoll = cycle + ctxPollCycles
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, simerr.Cancelled(e.errCtx(), cerr)
+				return nil, simerr.Cancelled(c.errCtx(), cerr)
 			}
 		}
 		if cycle > maxCycles {
-			return nil, simerr.Deadlock(e.errCtx(), e.stateDump(),
+			return nil, simerr.Deadlock(c.errCtx(), c.stateDump(),
 				"exceeded cycle budget %d for %d insts", maxCycles, maxInsts)
 		}
 	}
-	return e.finishStats(), nil
+	return c.finishStats(), nil
 }
 
 // StepCycles advances the machine by exactly n cycles (or until the
@@ -211,18 +160,16 @@ func (c *Core) RunContext(ctx context.Context, maxInsts int64) (res *Result, err
 // excluding one-time costs like lazy memory-page growth during the rest
 // of the run. Returns the number of cycles actually stepped.
 func (c *Core) StepCycles(n int64) (int64, error) {
-	e := c.eng
-	sch := e.scheduler()
 	var stepped int64
 	for ; stepped < n; stepped++ {
-		if e.drained() {
+		if c.drained() {
 			break
 		}
-		e.step()
-		if rerr := e.runErr(); rerr != nil {
+		c.step()
+		if rerr := c.runErr(); rerr != nil {
 			return stepped, rerr
 		}
-		if serr := sch.Err(); serr != nil {
+		if serr := c.sch.Err(); serr != nil {
 			return stepped, serr
 		}
 	}

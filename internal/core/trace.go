@@ -25,7 +25,7 @@ type Tracer interface {
 	Event(seq int64, pc int, text string, stage Stage, cycle int64)
 }
 
-func (c *entryCore) trace(u *uop, stage Stage, cycle int64) {
+func (c *Core) trace(u *uop, stage Stage, cycle int64) {
 	if c.tracer == nil {
 		return
 	}

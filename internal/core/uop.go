@@ -13,13 +13,10 @@
 // wrong-path instructions are not injected (their cache pollution is the
 // one second-order effect this model omits — see DESIGN.md).
 //
-// Two data layouts implement the same cycle-exact machine. The default
-// (config.LayoutSoA, soacore.go) keeps in-flight instructions as uint32
-// handles into a structure-of-arrays arena (arena.go); the reference
-// (config.LayoutEntry, entrycore.go) links the heap-pooled *uop structs
-// below by pointer. Core (pipeline.go) is a thin wrapper holding
-// whichever engine the config selects plus the layout-independent run
-// loop.
+// In-flight instructions are the heap-pooled *uop structs below, linked
+// by pointer. Core (entrycore.go) owns the pipeline state and stages,
+// form.go performs MOP formation at rename, and pipeline.go holds the run
+// loop; the scheduler is internal/sched's bit-parallel kernel.
 package core
 
 import (

@@ -120,7 +120,7 @@ func (k Kind) MachineSurface() bool {
 type Injector struct {
 	kind  Kind
 	inner core.Hooks
-	sch   sched.Engine
+	sch   *sched.BitScheduler
 	// trigger is the number of commits to pass cleanly before injecting.
 	trigger int64
 	// mopModel selects the formation-report variant of SwappedMOPPair.
@@ -143,7 +143,7 @@ var _ core.Hooks = (*Injector)(nil)
 // for machine-surface faults; may be nil for event faults). The fault
 // arms after trigger commits; mopModel selects the macro-op variant of
 // SwappedMOPPair.
-func NewInjector(kind Kind, inner core.Hooks, sch sched.Engine, trigger int64, mopModel bool) *Injector {
+func NewInjector(kind Kind, inner core.Hooks, sch *sched.BitScheduler, trigger int64, mopModel bool) *Injector {
 	return &Injector{kind: kind, inner: inner, sch: sch, trigger: trigger, mopModel: mopModel}
 }
 

@@ -79,12 +79,7 @@ func BenchmarkWakeup(b *testing.B) {
 // re-derives readiness for every live entry every cycle (O(win) per
 // tick, O(win^2) per chain); the bit kernel only touches entries whose
 // state changes, so the gap between the two grows with the window.
-func benchKernelChain(b *testing.B, k config.SchedKernel, win int) {
-	cfg := Config{Model: config.SchedBase, Width: 4, IQEntries: 0, ReplayPenalty: 2, Window: win}
-	for c := range cfg.FU {
-		cfg.FU[c] = 4
-	}
-	s := NewEngine(k, cfg)
+func benchKernelChain(b *testing.B, s Engine, win int) {
 	cyc := int64(0)
 	ents := make([]*Entry, 0, win)
 	srcs := make([]SrcSpec, 1)
@@ -118,11 +113,16 @@ func benchKernelChain(b *testing.B, k config.SchedKernel, win int) {
 // speedup headline quoted in DESIGN.md section 12.
 func BenchmarkKernelWindow(b *testing.B) {
 	for _, win := range []int{32, 128, 512, 2048} {
-		for _, k := range []config.SchedKernel{config.KernelEntry, config.KernelBitset} {
-			b.Run(fmt.Sprintf("%v/win%d", k, win), func(b *testing.B) {
-				benchKernelChain(b, k, win)
-			})
+		cfg := Config{Model: config.SchedBase, Width: 4, IQEntries: 0, ReplayPenalty: 2, Window: win}
+		for c := range cfg.FU {
+			cfg.FU[c] = 4
 		}
+		b.Run(fmt.Sprintf("entry/win%d", win), func(b *testing.B) {
+			benchKernelChain(b, New(cfg), win)
+		})
+		b.Run(fmt.Sprintf("bitset/win%d", win), func(b *testing.B) {
+			benchKernelChain(b, NewBit(cfg), win)
+		})
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the bit-parallel structure-of-arrays scheduler
-// kernel (config.KernelBitset), a cycle-exact re-implementation of the
-// entry-linked reference kernel in sched.go with the data layout the
+// kernel, the one the core runs. It is a cycle-exact re-implementation of
+// the entry-linked reference kernel in sched.go with the data layout the
 // paper's hardware actually has:
 //
 //   - issue queue entries live in parallel arrays indexed by a slot on a
@@ -35,8 +35,9 @@ import (
 // and result times stay on the struct, surviving slot recycling for the
 // core's post-commit reads); the per-edge scheduling state (producers,
 // assumed latencies, wake/actual times) lives only in the slot arrays.
-// The differential tests (differential_test.go, internal/checker)
-// enforce grant-stream equality between the kernels.
+// TestKernelLockstep (differential_test.go) drives both kernels with the
+// same random call scripts and requires identical grant streams, stats
+// and entry states every cycle.
 
 // edgeStride is the per-slot capacity of the edge arrays: a full MOP
 // chain of MaxMOPOps ops with two sources each.
@@ -122,7 +123,9 @@ type BitScheduler struct {
 
 	err error
 
-	// Fault-injection state (see Scheduler).
+	// Fault-injection state (internal/fault): suppressReplay arms the
+	// lost-replay fault, suppressed is the entry whose invalidations are
+	// silently dropped once the fault fires.
 	suppressReplay bool
 	suppressed     *Entry
 }
@@ -379,7 +382,6 @@ func (k *BitScheduler) Release(e *Entry) {
 	}
 	e.gen++
 	e.UserData = nil
-	e.UserIdx = 0
 	k.free = append(k.free, e)
 }
 
@@ -1217,7 +1219,8 @@ func (k *BitScheduler) dumpEntry(e *Entry) string {
 	return b.String()
 }
 
-// DumpActive renders up to limit non-final active entries, oldest first.
+// DumpActive renders up to limit non-final active entries, oldest first —
+// the scheduler half of the watchdog's diagnostic state dump.
 func (k *BitScheduler) DumpActive(limit int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scheduler: %d occupied, %d replays total, %d grants\n",
@@ -1240,8 +1243,16 @@ func (k *BitScheduler) DumpActive(limit int) string {
 	return b.String()
 }
 
-// FaultDeafen mirrors Scheduler.FaultDeafen: deafen the first waiting
-// entry's first undelivered source edge.
+// ---------------------------------------------------------------------
+// Fault-injection surface (internal/fault). These methods deliberately
+// corrupt scheduler state to prove the watchdog catches the corruption;
+// nothing in the simulator proper calls them.
+
+// FaultDeafen injects a dropped-wakeup fault: the first waiting entry
+// with a not-yet-delivered source wakeup has that edge's broadcasts
+// permanently lost, so the entry starves in the queue and the pipeline
+// eventually stops committing. Returns whether a victim edge was found
+// (retry next cycle otherwise).
 func (k *BitScheduler) FaultDeafen() bool {
 	sc := newAgeScan(k.live, k.startPos())
 	for {
@@ -1267,9 +1278,13 @@ func (k *BitScheduler) FaultDeafen() bool {
 	}
 }
 
-// FaultSuppressReplay arms the lost-replay fault; see
-// Scheduler.FaultSuppressReplay.
+// FaultSuppressReplay arms the lost-replay fault: the next invalidation
+// the scheduler would perform is silently dropped, and the victim entry
+// never replays again — it stays issued with operands that were not
+// actually ready, can never finalize, and blocks commit until the
+// watchdog reports the stall.
 func (k *BitScheduler) FaultSuppressReplay() { k.suppressReplay = true }
 
-// FaultReplaySuppressed reports whether the armed fault has fired.
+// FaultReplaySuppressed reports whether the armed lost-replay fault has
+// fired (an invalidation has been dropped).
 func (k *BitScheduler) FaultReplaySuppressed() bool { return k.suppressed != nil }

@@ -103,11 +103,6 @@ type srcEdge struct {
 	wake    int64 // scheduler-visible ready cycle (never = unknown)
 	final   bool
 	actual  int64 // actual operand availability once known
-	// deaf marks a fault-injected edge whose wakeup broadcasts are lost
-	// (internal/fault's dropped-wakeup fault): no wake path may ever set
-	// its wake time again, so the consumer starves and the watchdog must
-	// catch it.
-	deaf bool
 }
 
 type consRef struct {
@@ -119,10 +114,9 @@ type consRef struct {
 // two instructions sharing the entry (Section 3.1).
 //
 // Field order is deliberate: the scalars the scheduling loop touches per
-// entry per cycle (state, grant, slot, refs, and the core's per-grant
-// UserIdx read) are grouped ahead of the MaxMOPOps-sized arrays, so the
-// hot accesses share the struct's first cache line instead of straddling
-// the ~200 bytes of op storage.
+// entry per cycle (state, grant, slot, refs) are grouped ahead of the
+// MaxMOPOps-sized arrays, so the hot accesses share the struct's first
+// cache line instead of straddling the ~200 bytes of op storage.
 type Entry struct {
 	state State
 	// gen counts reuses of this Entry struct through the scheduler's free
@@ -145,12 +139,6 @@ type Entry struct {
 	// for its current life (BitScheduler only; the entry kernel leaves
 	// it untouched).
 	slot int
-
-	// UserIdx carries an index-valued per-entry payload (the SoA core
-	// layout's packed head-uop handle; opaque here). Unlike UserData,
-	// storing an integer here never allocates. Zero means unset; both
-	// kernels clear it when the entry is recycled.
-	UserIdx uint64
 
 	numOps        int
 	isMOP         bool
@@ -251,7 +239,8 @@ func (e *Entry) DependsOn(target *Entry) bool {
 	return walk(e)
 }
 
-// DependsOn implements Engine; see Entry.DependsOn.
+// DependsOn reports whether e transitively depends on target; see
+// Entry.DependsOn.
 func (s *Scheduler) DependsOn(e, target *Entry) bool { return e.DependsOn(target) }
 
 // Grant is one op issue event reported by Tick.
@@ -273,7 +262,11 @@ type Stats struct {
 	MaxOccupancy    int
 }
 
-// Scheduler is the wakeup/select engine.
+// Scheduler is the entry-linked reference kernel: every cycle it
+// re-derives readiness for each live entry from its pointer-linked
+// producer edges. The core runs BitScheduler (bitkernel.go); Scheduler
+// stays only as the reference that TestKernelLockstep drives in lockstep
+// with BitScheduler over random call scripts.
 type Scheduler struct {
 	cfg   Config
 	stats Stats
@@ -306,17 +299,11 @@ type Scheduler struct {
 	sbEvents   entryRing // scoreboard detections of invalid issues
 
 	// err latches the first fatal scheduling failure (replay-storm
-	// livelock); the core polls it every cycle via Err.
+	// livelock), reported by Err.
 	err error
-
-	// Fault-injection state (internal/fault): suppressReplay arms the
-	// lost-replay fault, suppressed is the entry whose invalidations are
-	// silently dropped once the fault fires.
-	suppressReplay bool
-	suppressed     *Entry
 }
 
-// New creates a scheduler.
+// New creates an entry-linked reference scheduler.
 func New(cfg Config) *Scheduler {
 	if cfg.Width <= 0 {
 		// Unreachable through config.Machine.Validate; kept as a typed
@@ -488,7 +475,6 @@ func (s *Scheduler) Release(e *Entry) {
 	}
 	e.gen++
 	e.UserData = nil
-	e.UserIdx = 0
 	clear(e.srcs)
 	e.srcs = e.srcs[:0]
 	clear(e.consumers)
@@ -773,7 +759,7 @@ func (s *Scheduler) grantEntry(e *Entry, now int64, grants *[]Grant) {
 func (s *Scheduler) wakeConsumers(e *Entry) {
 	for _, c := range e.consumers {
 		edge := &c.entry.srcs[c.srcIdx]
-		if edge.final || edge.deaf {
+		if edge.final {
 			continue
 		}
 		edge.wake = s.wakeFromGrant(e, edge.assumed)
@@ -784,7 +770,7 @@ func (s *Scheduler) wakeConsumers(e *Entry) {
 func (s *Scheduler) broadcastSpeculative(e *Entry) {
 	for _, c := range e.consumers {
 		edge := &c.entry.srcs[c.srcIdx]
-		if edge.final || edge.deaf {
+		if edge.final {
 			continue
 		}
 		edge.wake = e.firstReq + int64(edge.assumed)
@@ -813,7 +799,7 @@ func (s *Scheduler) rebroadcast(e *Entry) {
 	}
 	for _, c := range e.consumers {
 		edge := &c.entry.srcs[c.srcIdx]
-		if edge.final || edge.deaf {
+		if edge.final {
 			continue
 		}
 		w := e.grant + int64(edge.assumed) + penalty
@@ -844,7 +830,7 @@ func (s *Scheduler) scoreboardCheck(e *Entry) {
 	// it would spin reissuing against a still-unready producer).
 	for i := range e.srcs {
 		edge := &e.srcs[i]
-		if edge.final || edge.deaf {
+		if edge.final {
 			continue
 		}
 		p := edge.prod
@@ -902,7 +888,7 @@ func (s *Scheduler) fixupLoadMiss(e *Entry) {
 	actual := e.actualReady[0]
 	for _, c := range e.consumers {
 		edge := &c.entry.srcs[c.srcIdx]
-		if edge.final || edge.deaf {
+		if edge.final {
 			continue
 		}
 		if c.entry.state == StateIssued && c.entry.grant < actual {
@@ -919,17 +905,6 @@ func (s *Scheduler) fixupLoadMiss(e *Entry) {
 // issued off its rescinded grant) is recursively fixed.
 func (s *Scheduler) invalidate(e *Entry, now int64) {
 	if e.state != StateIssued {
-		return
-	}
-	if e == s.suppressed {
-		return // fault injection: this entry's replays are lost
-	}
-	if s.suppressReplay {
-		// Fault injection arms here: the first invalidation after arming
-		// is dropped, and the entry never replays again — the machine
-		// must end up stuck and the watchdog must report it.
-		s.suppressReplay = false
-		s.suppressed = e
 		return
 	}
 	e.state = StateWaiting
@@ -1027,9 +1002,6 @@ func (s *Scheduler) tryFinalize(e *Entry, now int64) bool {
 		edge.final = true
 		edge.prod = nil // sever the graph so ancestors become collectable
 		edge.actual = e.actualReady[edge.prodOp]
-		if edge.deaf {
-			continue // dropped wakeup: the finality broadcast is lost too
-		}
 		if edge.wake < edge.actual {
 			if c.entry.state == StateIssued && c.entry.grant < edge.actual {
 				// Safety net; replay fixups should already have caught it.
@@ -1065,9 +1037,6 @@ func max(a, b int) int {
 	return b
 }
 
-// DebugActive exposes the live entry list for diagnostics and tests.
-func (s *Scheduler) DebugActive() []*Entry { return s.active }
-
 // String names the entry state.
 func (st State) String() string {
 	switch st {
@@ -1096,8 +1065,8 @@ func (s *Scheduler) dumpEntry(e *Entry) string {
 	}
 	for i := range e.srcs {
 		edge := &e.srcs[i]
-		fmt.Fprintf(&b, "\n  src %d: wake=%s actual=%s final=%v deaf=%v",
-			i, cycleStr(edge.wake), cycleStr(edge.actual), edge.final, edge.deaf)
+		fmt.Fprintf(&b, "\n  src %d: wake=%s actual=%s final=%v",
+			i, cycleStr(edge.wake), cycleStr(edge.actual), edge.final)
 	}
 	return b.String()
 }
@@ -1108,64 +1077,6 @@ func cycleStr(c int64) string {
 	}
 	return fmt.Sprintf("%d", c)
 }
-
-// DumpActive renders up to limit non-final active entries, oldest first —
-// the scheduler half of the watchdog's diagnostic state dump.
-func (s *Scheduler) DumpActive(limit int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scheduler: %d occupied, %d replays total, %d grants\n",
-		s.occupied, s.stats.Replays, s.stats.Grants)
-	n := 0
-	for _, e := range s.active {
-		if n >= limit {
-			fmt.Fprintf(&b, "... %d more active entries elided\n", len(s.active)-n)
-			break
-		}
-		b.WriteString(s.dumpEntry(e))
-		b.WriteByte('\n')
-		n++
-	}
-	return b.String()
-}
-
-// ---------------------------------------------------------------------
-// Fault-injection surface (internal/fault). These methods deliberately
-// corrupt scheduler state to prove the watchdog catches the corruption;
-// nothing in the simulator proper calls them.
-
-// FaultDeafen injects a dropped-wakeup fault: the first waiting entry
-// with a not-yet-delivered source wakeup has that edge's broadcasts
-// permanently lost, so the entry starves in the queue and the pipeline
-// eventually stops committing. Returns whether a victim edge was found
-// (retry next cycle otherwise).
-func (s *Scheduler) FaultDeafen() bool {
-	for _, e := range s.active {
-		if e.state != StateWaiting {
-			continue
-		}
-		for i := range e.srcs {
-			edge := &e.srcs[i]
-			if edge.final || edge.deaf || edge.prod == nil || edge.wake <= s.now {
-				continue
-			}
-			edge.deaf = true
-			edge.wake = never
-			return true
-		}
-	}
-	return false
-}
-
-// FaultSuppressReplay arms the lost-replay fault: the next invalidation
-// the scheduler would perform is silently dropped, and the victim entry
-// never replays again — it stays issued with operands that were not
-// actually ready, can never finalize, and blocks commit until the
-// watchdog reports the stall.
-func (s *Scheduler) FaultSuppressReplay() { s.suppressReplay = true }
-
-// FaultReplaySuppressed reports whether the armed lost-replay fault has
-// fired (an invalidation has been dropped).
-func (s *Scheduler) FaultReplaySuppressed() bool { return s.suppressed != nil }
 
 // DebugRefs lists the entries this entry references directly (diagnostic).
 func (e *Entry) DebugRefs() (out []*Entry, kinds []string) {
