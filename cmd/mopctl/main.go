@@ -6,7 +6,7 @@
 //	mopctl -addr http://127.0.0.1:8344 simulate -bench gzip -sched mop -insts 100000
 //	mopctl matrix -benchmarks gzip,mcf -scheds base,mop -insts 50000
 //	mopctl matrix -scheds base,2cycle,mop -stream        # NDJSON live progress
-//	mopctl gap -benchmarks gzip,mcf -window 32           # heuristic-vs-optimum report
+//	mopctl gap -benchmarks gzip,mcf -window 32           # scheduler-vs-optimum report
 //	mopctl job job-n1-3                                  # job status
 //	mopctl jobs                                          # list jobs
 //	mopctl health
@@ -91,7 +91,7 @@ func usage() {
 commands:
   simulate  run one cell synchronously   (-bench, -sched, -wakeup, -iq, -stages, -insts)
   matrix    submit a batched sweep       (-benchmarks, -scheds, -insts, -wait, -stream, -async)
-  gap       heuristic-vs-optimum report  (-benchmarks, -window, -stride, -max-windows, -budget)
+  gap       scheduler-vs-optimum report  (-benchmarks, -window, -stride, -max-windows, -budget)
   job <id>  print one job's status and results
   jobs      list jobs, newest first
   health    check /healthz
@@ -289,17 +289,18 @@ func (c *client) matrix(args []string) {
 	}
 }
 
-// gap requests a heuristic-vs-optimum gap report (POST /v1/gap) and
+// gap requests a scheduler-vs-optimum gap report (POST /v1/gap) and
 // renders it as the paper-style table. The shared do() policy applies:
 // busy servers (503) are retried with Retry-After-honouring backoff, and
 // a clustered node's 307 owner redirect is followed. A report carrying
 // admissibility violations exits non-zero: it means the oracle found a
-// "optimal" schedule worse than a heuristic, which must never happen.
+// kernel schedule that issued a uop early, or an "optimal" schedule
+// worse than a kernel schedule, and neither may ever happen.
 func (c *client) gap(args []string) {
 	fs := flag.NewFlagSet("gap", flag.ExitOnError)
 	var (
 		benches    = fs.String("benchmarks", "", "comma-separated benchmarks (empty = full suite)")
-		sched      = fs.String("sched", "base", "machine config supplying the window model (scheduler choice does not matter; all heuristics are replayed)")
+		sched      = fs.String("sched", "base", "machine config supplying the window model (scheduler choice does not matter; every scheduling model is replayed)")
 		window     = fs.Int("window", 0, "uop window size, 4..64 (0 = server default, 32)")
 		stride     = fs.Int("stride", 0, "start-to-start window distance (0 = window size)")
 		maxWindows = fs.Int("max-windows", 0, "windows per benchmark (0 = server default, 8)")

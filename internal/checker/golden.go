@@ -17,9 +17,9 @@ import (
 // whose drift would silently invalidate the EXPERIMENTS.md tables.
 type Record struct {
 	Bench       string
-	Checksum    uint64  // architectural-effect checksum (config-invariant)
-	Committed   int64   // committed instructions
-	Cycles      int64   // total cycles
+	Checksum    uint64 // architectural-effect checksum (config-invariant)
+	Committed   int64  // committed instructions
+	Cycles      int64  // total cycles
 	IPC         float64
 	ReplayRate  float64 // replays per committed instruction
 	MOPCoverage float64 // fraction of committed instructions grouped into MOPs

@@ -13,10 +13,10 @@ import (
 	"macroop/internal/stats"
 )
 
-// GapReport is the heuristic-vs-optimum gap result over a benchmark set:
+// GapReport is the scheduler-vs-optimum gap result over a benchmark set:
 // per benchmark, the exact (or certified-bound) window cycles next to
-// each heuristic's replay of the identical windows. It is the
-// JSON-serializable unit the gap endpoint caches and journals.
+// each scheduling model's kernel replay of the identical windows. It is
+// the JSON-serializable unit the gap endpoint caches and journals.
 type GapReport struct {
 	Spec    optsched.GapSpec    `json:"spec"`
 	Machine string              `json:"machine"` // short label, e.g. "table1"
@@ -42,28 +42,34 @@ func (rep *GapReport) OptimalWindows() (optimal, total int) {
 	return optimal, total
 }
 
+// gapModelVersion identifies the scheduling model behind a gap report:
+// the window model, the kernel replay and the solver. Bump it whenever
+// optsched or the scheduler kernel changes what a report contains, so
+// journaled reports from older code re-run instead of being served.
+const gapModelVersion = "kernel-replay-1"
+
 // GapFingerprint is the content identity of a gap report: a stable hash
-// over the benchmark list, the machine configuration, and the resolved
-// gap spec — everything that determines the result. The service keys its
-// gap cache and journal records on it.
+// over the model version, the benchmark list, the machine configuration,
+// and the resolved gap spec — everything that determines the result. The
+// service keys its gap cache and journal records on it.
 func GapFingerprint(benchmarks []string, m config.Machine, spec optsched.GapSpec) string {
 	spec = spec.WithDefaults()
 	cfgJSON, err := json.Marshal(m)
 	if err != nil {
 		cfgJSON = []byte(fmt.Sprintf("%+v", m))
 	}
-	return simerr.Fingerprint("gap", fmt.Sprint(benchmarks), string(cfgJSON),
+	return simerr.Fingerprint("gap", gapModelVersion, fmt.Sprint(benchmarks), string(cfgJSON),
 		fmt.Sprint(spec.Window), fmt.Sprint(spec.Stride), fmt.Sprint(spec.MaxWindows), fmt.Sprint(spec.NodeBudget))
 }
 
 // Gap runs the gap pipeline over a benchmark set in parallel: per
 // benchmark, extract windows under the machine's window model, replay
-// all four heuristics, and solve each window exactly. An empty benches
-// falls back to the runner's configured set. Benchmarks are independent,
-// so they fan out under the runner's concurrency cap. The explicit
-// parameter (rather than mutating r.Benchmarks) lets a long-lived
-// service share one runner — and its per-benchmark program futures —
-// across concurrent gap requests.
+// every model in optsched.Models on the production scheduler kernel, and
+// solve each window exactly. An empty benches falls back to the runner's
+// configured set. Benchmarks are independent, so they fan out under the
+// runner's concurrency cap. The explicit parameter (rather than mutating
+// r.Benchmarks) lets a long-lived service share one runner — and its
+// per-benchmark program futures — across concurrent gap requests.
 func (r *Runner) Gap(ctx context.Context, benches []string, m config.Machine, spec optsched.GapSpec) (*GapReport, error) {
 	spec = spec.WithDefaults()
 	if len(benches) == 0 {
@@ -107,17 +113,18 @@ func (r *Runner) Gap(ctx context.Context, benches []string, m config.Machine, sp
 }
 
 // GapTable renders a gap report as the paper-style results table: one
-// row per benchmark x heuristic with the heuristic's window cycles, the
-// exact optimum (and its certified lower bound), and the gap percentage.
+// row per benchmark x scheduling model with the model's window cycles on
+// the kernel, the exact optimum (and its certified lower bound), and the
+// gap percentage.
 func GapTable(rep *GapReport) *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("Gap report: heuristic vs optimal schedule (%d-uop windows, stride %d, <=%d windows/bench, node budget %d)",
+		fmt.Sprintf("Gap report: scheduler vs optimal schedule (%d-uop windows, stride %d, <=%d windows/bench, node budget %d)",
 			rep.Spec.Window, rep.Spec.Stride, rep.Spec.MaxWindows, rep.Spec.NodeBudget),
-		"benchmark", "heuristic", "cycles", "optimum", "bound", "gap%", "windows", "optimal-windows", "violations")
+		"benchmark", "scheduler", "cycles", "optimum", "bound", "gap%", "windows", "optimal-windows", "violations")
 	for _, b := range rep.Benches {
-		for _, h := range optsched.Heuristics() {
-			t.AddRow(b.Bench, h.String(), b.Heur[h.String()], b.OptCycles, b.BoundCycles,
-				b.GapPct(h), b.Windows, b.OptimalWindows, b.Violations)
+		for _, m := range optsched.Models {
+			t.AddRow(b.Bench, m.String(), b.Heur[m.String()], b.OptCycles, b.BoundCycles,
+				b.GapPct(m), b.Windows, b.OptimalWindows, b.Violations)
 		}
 	}
 	return t

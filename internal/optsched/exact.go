@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"macroop/internal/config"
 	"macroop/internal/isa"
 )
 
@@ -28,7 +29,7 @@ type Solver struct {
 type Outcome struct {
 	// Cycles is the makespan of the best schedule found — an upper
 	// bound on the optimum, and (because the search is seeded with the
-	// best heuristic schedule) never worse than any heuristic.
+	// best kernel replay) never worse than any replay.
 	Cycles int
 	// Bound is a certified lower bound on the optimal makespan: when
 	// the search completes it equals Cycles; when the node budget (or
@@ -49,9 +50,9 @@ func (o Outcome) Gap() int { return o.Cycles - o.Bound }
 
 // Solve finds the minimum-makespan dependence-respecting schedule of the
 // window under the normalized resource vector, seeded with an incumbent
-// schedule (callers pass the best heuristic schedule, which makes the
-// oracle admissible by construction: the result can never exceed it).
-// An invalid or missing seed falls back to the base heuristic.
+// schedule (callers pass the best kernel replay, which makes the oracle
+// admissible by construction: the result can never exceed it). A
+// missing seed falls back to the base model's replay.
 //
 // The search branches only on cycles where the ready set exceeds
 // capacity — when everything ready fits, issuing all of it is dominant
@@ -72,7 +73,10 @@ func (s Solver) Solve(ctx context.Context, w *Window, res Resources, seed Schedu
 		return Outcome{Optimal: true}, nil
 	}
 	if len(seed.Issue) != n {
-		seed = RunHeuristic(w, res, HeurBase)
+		var err error
+		if seed, err = Replay(w, res, config.SchedBase); err != nil {
+			return Outcome{}, err
+		}
 	}
 	budget := s.NodeBudget
 	if budget <= 0 {

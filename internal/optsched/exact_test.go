@@ -2,6 +2,7 @@ package optsched
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"macroop/internal/config"
@@ -21,24 +22,34 @@ func twin(uops ...Uop) *Window {
 
 func defRes() Resources { return ResourcesFrom(config.Default()) }
 
-// solveAll runs every heuristic plus the exact solver and validates each
-// schedule, returning (heuristic cycles indexed by Heuristic, outcome).
-func solveAll(t *testing.T, w *Window, res Resources, budget int64) ([NumHeuristics]int, Outcome) {
+// replay runs one model's kernel replay, failing the test on an error.
+func replay(t *testing.T, w *Window, res Resources, model config.SchedModel) Schedule {
+	t.Helper()
+	s, err := Replay(w, res, model)
+	if err != nil {
+		t.Fatalf("%v replay: %v", model, err)
+	}
+	return s
+}
+
+// solveAll replays every model plus the exact solver and validates each
+// schedule, returning (replay cycles per model, outcome).
+func solveAll(t *testing.T, w *Window, res Resources, budget int64) (map[config.SchedModel]int, Outcome) {
 	t.Helper()
 	if err := w.Validate(); err != nil {
 		t.Fatalf("window invalid: %v", err)
 	}
-	var cycles [NumHeuristics]int
+	cycles := make(map[config.SchedModel]int, len(Models))
 	best := Schedule{}
-	for _, h := range Heuristics() {
-		s := RunHeuristic(w, res, h)
+	for _, m := range Models {
+		s := replay(t, w, res, m)
 		if err := ValidateSchedule(w, res, s.Issue); err != nil {
-			t.Fatalf("%v schedule infeasible: %v", h, err)
+			t.Fatalf("%v schedule infeasible: %v", m, err)
 		}
 		if s.Cycles != makespan(w, s.Issue) {
-			t.Fatalf("%v reports %d cycles, makespan is %d", h, s.Cycles, makespan(w, s.Issue))
+			t.Fatalf("%v reports %d cycles, makespan is %d", m, s.Cycles, makespan(w, s.Issue))
 		}
-		cycles[h] = s.Cycles
+		cycles[m] = s.Cycles
 		if best.Issue == nil || s.Cycles < best.Cycles {
 			best = s
 		}
@@ -59,9 +70,9 @@ func solveAll(t *testing.T, w *Window, res Resources, budget int64) ([NumHeurist
 	if out.Optimal != (out.Bound == out.Cycles) {
 		t.Fatalf("Optimal=%v inconsistent with Bound=%d Cycles=%d", out.Optimal, out.Bound, out.Cycles)
 	}
-	for _, h := range Heuristics() {
-		if out.Cycles > cycles[h] {
-			t.Fatalf("admissibility violation: exact %d > %v %d", out.Cycles, h, cycles[h])
+	for m, c := range cycles {
+		if out.Cycles > c {
+			t.Fatalf("admissibility violation: exact %d > %v %d", out.Cycles, m, c)
 		}
 	}
 	return cycles, out
@@ -69,16 +80,50 @@ func solveAll(t *testing.T, w *Window, res Resources, budget int64) ([NumHeurist
 
 func TestSerialChain(t *testing.T) {
 	// add -> add -> add -> add: base issues back to back (makespan 5),
-	// the 2-cycle loop leaves a bubble per edge (8), macro-op fusion
-	// recovers the intra-pair bubbles (6), the optimum equals base.
+	// the 2-cycle loop leaves a bubble per edge (8), and macro-op fuses
+	// (0,1) and (2,3): the first MOP's single tag broadcast makes the
+	// second selectable at head+2 (DESIGN §5), so it recovers every
+	// bubble (5). The optimum equals base.
 	w := twin(tu(isa.ADD), tu(isa.ADD, 0), tu(isa.ADD, 1), tu(isa.ADD, 2))
 	cycles, out := solveAll(t, w, defRes(), 0)
-	if cycles[HeurBase] != 5 || cycles[HeurTwoCycle] != 8 || cycles[HeurMOP] != 6 {
-		t.Errorf("chain cycles = base %d, 2-cycle %d, mop %d; want 5, 8, 6",
-			cycles[HeurBase], cycles[HeurTwoCycle], cycles[HeurMOP])
+	base, two, mop := cycles[config.SchedBase], cycles[config.SchedTwoCycle], cycles[config.SchedMOP]
+	if base != 5 || two != 8 || mop != 5 {
+		t.Errorf("chain cycles = base %d, 2-cycle %d, mop %d; want 5, 8, 5", base, two, mop)
 	}
 	if !out.Optimal || out.Cycles != 5 {
 		t.Errorf("exact = %d (optimal %v), want proven 5", out.Cycles, out.Optimal)
+	}
+}
+
+// TestFigure5Window replays the paper's Figure 5 example,
+//
+//	1: add r1   2: lw r4,0(r1)   3: sub r5,r1   4: bez r5
+//
+// extracted from an assembled program, to the issue cycles that
+// sched.TestFigure5Timing asserts on the kernel directly. Macro-op fuses
+// (1,3): the MOP's single tag makes 2 and 4 selectable at head+2.
+func TestFigure5Window(t *testing.T) {
+	p := assemble(t, `
+add r1, r2, r3
+ld r4, 0(r1)
+sub r5, r1, r6
+beq r5, r0, done
+done: halt
+`)
+	wins := Extract(p, config.Default(), ExtractSpec{Window: 4, MaxWindows: 1})
+	if len(wins) != 1 {
+		t.Fatalf("got %d windows, want 1", len(wins))
+	}
+	w := &wins[0]
+	for m, want := range map[config.SchedModel][]int{
+		config.SchedBase:     {1, 2, 2, 3},
+		config.SchedTwoCycle: {1, 3, 3, 5},
+		config.SchedMOP:      {1, 3, 2, 3},
+	} {
+		s := replay(t, w, defRes(), m)
+		if !slices.Equal(s.Issue, want) {
+			t.Errorf("%v issues at %v, want %v", m, s.Issue, want)
+		}
 	}
 }
 
@@ -94,15 +139,12 @@ func TestWidthBound(t *testing.T) {
 	if !out.Optimal || out.Cycles != 3 {
 		t.Errorf("exact = %d (optimal %v), want proven 3", out.Cycles, out.Optimal)
 	}
-	for _, h := range []Heuristic{HeurBase, HeurTwoCycle, HeurMOP} {
-		if cycles[h] != 3 {
-			t.Errorf("%v = %d, want 3", h, cycles[h])
+	// Select-free arbitration losers have no mis-woken dependents here,
+	// so they simply request again the next cycle.
+	for m, c := range cycles {
+		if c != 3 {
+			t.Errorf("%v = %d, want 3", m, c)
 		}
-	}
-	// Select-free arbitration losers pay the replay penalty: the second
-	// issue group re-requests at cycle 3, not 2.
-	if cycles[HeurSelectFree] != 4 {
-		t.Errorf("select-free = %d, want 4", cycles[HeurSelectFree])
 	}
 }
 
@@ -134,24 +176,34 @@ func TestPriorityMatters(t *testing.T) {
 }
 
 func TestSelectFreePenalty(t *testing.T) {
-	// Five adds contending for a width of 1: base retries every cycle
-	// (makespan 6); select-free losers pay the 2-cycle replay penalty,
-	// re-requesting on odd cycles only (makespan still bounded, >= base).
+	// Two-wide: adds 0 and 1 win cycle 1, add 2 loses after waking its
+	// dependent add 3 speculatively. Base issues 2 then 3 back to back
+	// (makespan 4). Squash-dep squashes add 3 until add 2's grant-time
+	// rebroadcast, which costs one cycle (5). Scoreboard lets add 3
+	// issue beside add 2 at cycle 2, detects the invalid issue two
+	// cycles later, and reissues it after the replay penalty (7). The
+	// optimum issues the chain head first (3).
 	res := defRes()
-	res.Width = 1
-	w := twin(tu(isa.ADD), tu(isa.ADD), tu(isa.ADD), tu(isa.ADD), tu(isa.ADD))
-	cycles, _ := solveAll(t, w, res, 0)
-	if cycles[HeurBase] != 6 {
-		t.Errorf("base = %d, want 6", cycles[HeurBase])
+	res.Width = 2
+	w := twin(tu(isa.ADD), tu(isa.ADD), tu(isa.ADD), tu(isa.ADD, 2))
+	cycles, out := solveAll(t, w, res, 0)
+	for m, want := range map[config.SchedModel]int{
+		config.SchedBase:                 4,
+		config.SchedSelectFreeSquashDep:  5,
+		config.SchedSelectFreeScoreboard: 7,
+	} {
+		if cycles[m] != want {
+			t.Errorf("%v = %d, want %d", m, cycles[m], want)
+		}
 	}
-	if cycles[HeurSelectFree] < cycles[HeurBase] {
-		t.Errorf("select-free %d beat base %d under pure contention", cycles[HeurSelectFree], cycles[HeurBase])
+	if !out.Optimal || out.Cycles != 3 {
+		t.Errorf("exact = %d (optimal %v), want proven 3", out.Cycles, out.Optimal)
 	}
 }
 
 func TestBudgetDegradesToCertifiedBound(t *testing.T) {
 	// A contended window with a tiny node budget must return the seeded
-	// heuristic schedule plus a certified bound, never hang or panic.
+	// base replay plus a certified bound, never hang or panic.
 	uops := make([]Uop, 24)
 	for i := range uops {
 		if i%3 == 0 && i > 0 {
@@ -162,7 +214,7 @@ func TestBudgetDegradesToCertifiedBound(t *testing.T) {
 	}
 	w := twin(uops...)
 	res := defRes()
-	seed := RunHeuristic(w, res, HeurBase)
+	seed := replay(t, w, res, config.SchedBase)
 	out, err := Solver{NodeBudget: 3}.Solve(context.Background(), w, res, seed)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -190,7 +242,7 @@ func TestSolveCancellation(t *testing.T) {
 	}
 	w := twin(uops...)
 	res := defRes()
-	seed := RunHeuristic(w, res, HeurBase)
+	seed := replay(t, w, res, config.SchedBase)
 	out, err := Solver{}.Solve(ctx, w, res, seed)
 	if err == nil {
 		// The ctx check runs every 1024 nodes; a search this small can

@@ -7,12 +7,13 @@ import (
 	"macroop/internal/program"
 )
 
-// FuzzWindowExtract hardens the window extractor: any assemblable
-// program prefix, under any extraction geometry, must produce windows
-// without panicking, every window must be dependence-closed (Validate),
-// and every heuristic replay over those windows must terminate with a
-// schedule the base-model validator accepts. Programs that fault mid-run
-// (wild indirect jumps) must degrade to a shorter stream, not an error.
+// FuzzWindowExtract hardens the window extractor and the kernel replay:
+// any assemblable program prefix, under any extraction geometry, must
+// produce windows without panicking, every window must be
+// dependence-closed (Validate), and every model's replay on the
+// production kernel must settle without error on a schedule the
+// base-model validator accepts. Programs that fault mid-run (wild
+// indirect jumps) must degrade to a shorter stream, not an error.
 func FuzzWindowExtract(f *testing.F) {
 	seeds := []struct {
 		text                   string
@@ -47,10 +48,13 @@ func FuzzWindowExtract(f *testing.F) {
 			if err := w.Validate(); err != nil {
 				t.Fatalf("window %d not dependence-closed: %v\nprogram:\n%s", wi, err, text)
 			}
-			for _, h := range Heuristics() {
-				s := RunHeuristic(w, res, h)
+			for _, model := range Models {
+				s, err := Replay(w, res, model)
+				if err != nil {
+					t.Fatalf("%v replay failed on fuzzed window: %v\nprogram:\n%s", model, err, text)
+				}
 				if err := ValidateSchedule(w, res, s.Issue); err != nil {
-					t.Fatalf("%v schedule infeasible on fuzzed window: %v", h, err)
+					t.Fatalf("%v schedule infeasible on fuzzed window: %v\nprogram:\n%s", model, err, text)
 				}
 			}
 		}

@@ -1,21 +1,23 @@
 // Package optsched is the optimal-schedule oracle: an exact
 // branch-and-bound scheduler over dependence-respecting issue orders on
 // bounded windows (up to 64 uops) of the committed instruction stream,
-// plus deterministic window-model replays of the paper's four scheduling
-// heuristics (base, 2-cycle, macro-op, select-free). Comparing the two
-// yields the heuristic-vs-optimum gap table the paper never had: how far
-// each relaxed scheduling loop sits from the true optimum, not just from
-// the other heuristics.
+// plus a driver that replays the same windows on the production
+// scheduler kernel (sched.NewBit) under each of the paper's scheduling
+// models. Comparing the two yields the scheduler-vs-optimum gap table
+// the paper never had: how far each relaxed scheduling loop, as this
+// simulator implements it, sits from the true optimum, not just from
+// the other models.
 //
 // The window model deliberately abstracts the full pipeline down to the
-// scheduling subproblem both the exact solver and the heuristics share:
-// a window's uops are all present in the issue queue at cycle 0 and
+// scheduling subproblem the exact solver and the kernel share: a
+// window's uops are all present in the issue queue at cycle 0 and
 // selectable from cycle 1 (perfect fetch/rename), loads hit the DL1, and
 // the per-cycle resources are the machine's issue width and functional
-// unit counts. Every heuristic schedule is feasible under the relaxed
+// unit counts. Every kernel schedule must be feasible under the relaxed
 // (base-latency) constraint set the exact solver optimizes over, which
-// is what makes the oracle admissible: optimum <= every heuristic, by
-// construction, on every window (proven by the property tests).
+// is what makes the oracle admissible: optimum <= every replay, on every
+// window (proven by the property tests). A replay that is not feasible
+// means the kernel issued a uop before its producer completed.
 package optsched
 
 import (
@@ -88,12 +90,12 @@ func (w *Window) Validate() error {
 
 // Resources is the per-cycle capacity the window model schedules
 // against: total issue width plus per-class functional unit counts.
-// ClassNone uops (STD) consume neither width nor a unit — they retire
-// through the store queue, mirroring internal/sched's treatment.
+// ClassNone uops (STD) consume neither width nor a unit — the core
+// fuses each STD into its STA, so it never occupies a scheduler entry.
 type Resources struct {
 	Width         int
 	Units         [isa.NumClasses]int
-	ReplayPenalty int // select-free squash penalty in cycles
+	ReplayPenalty int // cycles before a replayed kernel entry may reissue
 }
 
 // ResourcesFrom extracts the window model's resource vector from a
@@ -186,12 +188,14 @@ func (s ExtractSpec) withDefaults() ExtractSpec {
 
 // Extract runs the program functionally and slices its committed uop
 // stream into dependence-closed windows. Dependences recorded per uop:
-// register RAW (nearest earlier writer of each source), the STA -> STD
-// pairing, and memory RAW (a load depends on the nearest earlier store
-// data uop to the same word address). HALT terminates collection; a
-// functional fault (e.g. a wild PC on a fuzzed program) simply ends the
-// stream with whatever was collected. Extract never panics and every
-// returned window satisfies Window.Validate.
+// register RAW (nearest earlier writer of each source) and the STA ->
+// STD pairing. There is no memory RAW edge: the simulated core never
+// makes a load wait on a store in its scheduler, so the oracle must not
+// charge the schedulers for a constraint the machine does not have.
+// HALT terminates collection; a functional fault (e.g. a wild PC on a
+// fuzzed program) simply ends the stream with whatever was collected.
+// Extract never panics and every returned window satisfies
+// Window.Validate.
 func Extract(p *program.Program, m config.Machine, spec ExtractSpec) []Window {
 	spec = spec.withDefaults()
 	need := int64(spec.Window + (spec.MaxWindows-1)*spec.Stride)
@@ -220,7 +224,6 @@ func collectStream(p *program.Program, m config.Machine, budget int64) []streamU
 	for i := range lastWriter {
 		lastWriter[i] = -1
 	}
-	lastSTD := make(map[uint64]int32) // word address -> absolute index of last store data
 
 	for int64(len(stream)) < budget {
 		if err := e.Step(&d); err != nil {
@@ -234,17 +237,8 @@ func collectStream(p *program.Program, m config.Machine, budget int64) []streamU
 		if r := d.Inst.Src2; r != isa.NoReg && r.Valid() && r != isa.R0 {
 			u.addDep(lastWriter[r])
 		}
-		switch {
-		case d.Inst.Op == isa.STD:
-			// The STD pairs with the immediately preceding STA.
-			if idx > 0 && stream[idx-1].op == isa.STA {
-				u.addDep(idx - 1)
-			}
-			lastSTD[d.MemAddr] = idx
-		case d.Inst.Op.IsLoad():
-			if sd, ok := lastSTD[d.MemAddr]; ok {
-				u.addDep(sd) // memory RAW: forwarded from the store data
-			}
+		if d.Inst.Op == isa.STD && idx > 0 && stream[idx-1].op == isa.STA {
+			u.addDep(idx - 1) // the STD pairs with the immediately preceding STA
 		}
 		if d.Inst.WritesReg() {
 			lastWriter[d.Inst.Dest] = idx

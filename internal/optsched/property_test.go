@@ -35,17 +35,53 @@ func benchWindows(t *testing.T, bench string, spec ExtractSpec) []Window {
 
 // TestAdmissibilityOnBenchmarks is the oracle's core property on real
 // windows: for every extracted window, the exact result never exceeds
-// any heuristic, every schedule validates, and bounds are consistent.
+// any kernel replay, every schedule validates, and bounds are
+// consistent. It also cross-checks the solver's certified bound against
+// the per-class initiation-interval bound of a modulo scheduler
+// (SNIPPETS.md Snippet 3): no schedule can issue the n_c uops of class c
+// in fewer than ceil(n_c/U_c) cycles, nor all N consuming uops in fewer
+// than ceil(N/Width), and the last of them completes a cycle or more
+// after issuing. A small node budget keeps many searches cut short, so
+// the certified bound is exercised, not just the proven optimum.
 func TestAdmissibilityOnBenchmarks(t *testing.T) {
 	res := defRes()
 	for _, bench := range []string{"gzip", "mcf", "vortex"} {
 		for _, size := range []int{16, 32} {
 			for _, w := range benchWindows(t, bench, ExtractSpec{Window: size, MaxWindows: 4}) {
 				w := w
-				solveAll(t, &w, res, 50_000)
+				for _, budget := range []int64{1_000, 50_000} {
+					_, out := solveAll(t, &w, res, budget)
+					if ii := classIIBound(&w, res); out.Bound < ii {
+						t.Fatalf("%s %d-uop window at seq %d, budget %d: certified bound %d below the II bound %d",
+							bench, size, w.Start, budget, out.Bound, ii)
+					}
+				}
 			}
 		}
 	}
+}
+
+// classIIBound is max(max_c ceil(n_c/U_c), ceil(N/Width)) + 1 over the
+// window's resource-consuming uops: the per-class resource bound of a
+// modulo scheduler's II, plus the one cycle the last issued uop needs to
+// complete.
+func classIIBound(w *Window, res Resources) int {
+	res = res.normalized()
+	var cnt [isa.NumClasses]int
+	total := 0
+	for i := range w.Uops {
+		if c := w.Uops[i].Class; consumes(c) {
+			cnt[c]++
+			total++
+		}
+	}
+	ii := (total + res.Width - 1) / res.Width
+	for c, m := range cnt {
+		if v := (m + res.Units[c] - 1) / res.Units[c]; v > ii {
+			ii = v
+		}
+	}
+	return ii + 1
 }
 
 // bruteOptimum exhaustively enumerates dependence-respecting schedules —
@@ -54,7 +90,7 @@ func TestAdmissibilityOnBenchmarks(t *testing.T) {
 // the branch-and-bound's dominance arguments are checked against.
 // ClassNone uops issue at their ready time (they consume no resources,
 // so delaying one can only delay its consumers). ub must be an
-// achievable makespan (a heuristic schedule's) so the search terminates.
+// achievable makespan (a kernel replay's) so the search terminates.
 func bruteOptimum(w *Window, res Resources, ub int) int {
 	res = res.normalized()
 	n := len(w.Uops)
@@ -189,8 +225,8 @@ func TestExhaustiveAgreementTiny(t *testing.T) {
 		t.Helper()
 		ub := 1 << 30
 		var seed Schedule
-		for _, h := range Heuristics() {
-			s := RunHeuristic(w, res, h)
+		for _, m := range Models {
+			s := replay(t, w, res, m)
 			if s.Cycles < ub {
 				ub, seed = s.Cycles, s
 			}
@@ -263,9 +299,9 @@ func TestGapPipeline(t *testing.T) {
 	if g.BoundCycles > g.OptCycles {
 		t.Fatalf("bound %d above optimum %d", g.BoundCycles, g.OptCycles)
 	}
-	for _, h := range Heuristics() {
-		if g.Heur[h.String()] < g.OptCycles {
-			t.Fatalf("%v cycles %d below optimum %d", h, g.Heur[h.String()], g.OptCycles)
+	for _, m := range Models {
+		if g.Heur[m.String()] < g.OptCycles {
+			t.Fatalf("%v cycles %d below optimum %d", m, g.Heur[m.String()], g.OptCycles)
 		}
 	}
 	// The pipeline is deterministic: a second run must agree exactly.

@@ -57,7 +57,7 @@ halt
 		{1, []int32{0}},    // addi reads r1
 		{2, []int32{1}},    // sta reads r2
 		{3, []int32{0, 2}}, // std reads r1 (data) and pairs with the sta
-		{4, []int32{1, 3}}, // ld reads r2 and forwards from the std (memory RAW)
+		{4, []int32{1}},    // ld reads r2; loads never wait on stores in the scheduler
 		{5, []int32{4, 0}}, // add reads r3 and r1
 	}
 	for _, c := range checks {

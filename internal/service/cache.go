@@ -31,70 +31,81 @@ type CachedResult struct {
 // approxBytes estimates the record's memory footprint for the cache's
 // byte quota: the strings it owns plus the fixed-size structs.
 func (r *CachedResult) approxBytes(fp string) int {
-	n := len(fp) + len(r.Bench) + int(unsafe.Sizeof(*r)) + int(unsafe.Sizeof(cacheEntry{}))
+	n := len(fp) + len(r.Bench) + int(unsafe.Sizeof(*r)) + int(unsafe.Sizeof(cacheEntry[*CachedResult]{}))
 	if r.Result != nil {
 		n += int(unsafe.Sizeof(*r.Result)) + len(r.Result.Benchmark) + len(r.Result.ReproFingerprint)
 	}
 	return n
 }
 
-// resultCache is a bounded LRU of cell outcomes keyed by content
-// fingerprint, limited both by entry count and (when maxBytes > 0) by an
-// approximate byte quota. It is safe for concurrent use by the worker
-// pool.
-type resultCache struct {
+// resultCache is a bounded LRU of values keyed by content fingerprint,
+// limited by entry count and, when maxBytes > 0 and it has a size
+// function, by an approximate byte quota. It holds the service's cell
+// outcomes and its gap reports, and is safe for concurrent use.
+type resultCache[V any] struct {
 	mu       sync.Mutex
 	cap      int
 	maxBytes int64
 	bytes    int64
+	size     func(v V, key string) int // nil: the entry bound alone applies
 	m        map[string]*list.Element
 	lru      *list.List // front = most recently used
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key   string
-	rec   *CachedResult
+	val   V
 	bytes int64
 }
 
-func newResultCache(capacity int, maxBytes int64) *resultCache {
+// newCache builds an LRU of capacity entries (<= 0 means 4096).
+func newCache[V any](capacity int, maxBytes int64, size func(v V, key string) int) *resultCache[V] {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &resultCache{cap: capacity, maxBytes: maxBytes, m: make(map[string]*list.Element), lru: list.New()}
+	return &resultCache[V]{cap: capacity, maxBytes: maxBytes, size: size, m: make(map[string]*list.Element), lru: list.New()}
 }
 
-// Get returns the cached record for the fingerprint, refreshing its LRU
+// newResultCache builds the cell-outcome cache, sized by approxBytes.
+func newResultCache(capacity int, maxBytes int64) *resultCache[*CachedResult] {
+	return newCache(capacity, maxBytes, (*CachedResult).approxBytes)
+}
+
+// Get returns the cached value for the fingerprint, refreshing its LRU
 // position.
-func (c *resultCache) Get(fp string) (*CachedResult, bool) {
+func (c *resultCache[V]) Get(fp string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[fp]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.lru.MoveToFront(e)
-	return e.Value.(*cacheEntry).rec, true
+	return e.Value.(*cacheEntry[V]).val, true
 }
 
-// Put inserts (or refreshes) a record, evicting least recently used
+// Put inserts (or refreshes) a value, evicting least recently used
 // entries until both the entry bound and the byte quota hold.
-func (c *resultCache) Put(fp string, rec *CachedResult) {
-	size := int64(rec.approxBytes(fp))
+func (c *resultCache[V]) Put(fp string, v V) {
+	var size int64
+	if c.size != nil {
+		size = int64(c.size(v, fp))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[fp]; ok {
-		ent := e.Value.(*cacheEntry)
+		ent := e.Value.(*cacheEntry[V])
 		c.bytes += size - ent.bytes
-		ent.rec, ent.bytes = rec, size
+		ent.val, ent.bytes = v, size
 		c.lru.MoveToFront(e)
 	} else {
-		c.m[fp] = c.lru.PushFront(&cacheEntry{key: fp, rec: rec, bytes: size})
+		c.m[fp] = c.lru.PushFront(&cacheEntry[V]{key: fp, val: v, bytes: size})
 		c.bytes += size
 	}
 	for c.lru.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1) {
 		tail := c.lru.Back()
-		ent := tail.Value.(*cacheEntry)
+		ent := tail.Value.(*cacheEntry[V])
 		c.lru.Remove(tail)
 		delete(c.m, ent.key)
 		c.bytes -= ent.bytes
@@ -103,7 +114,7 @@ func (c *resultCache) Put(fp string, rec *CachedResult) {
 
 // Keys snapshots every cached fingerprint (unordered). The anti-entropy
 // pass digests these to offer records to replica peers.
-func (c *resultCache) Keys() []string {
+func (c *resultCache[V]) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.m))
@@ -113,15 +124,15 @@ func (c *resultCache) Keys() []string {
 	return out
 }
 
-// Len reports the number of cached cells.
-func (c *resultCache) Len() int {
+// Len reports the number of cached values.
+func (c *resultCache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
 }
 
 // Bytes reports the cache's approximate resident size.
-func (c *resultCache) Bytes() int64 {
+func (c *resultCache[V]) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
@@ -131,36 +142,38 @@ func (c *resultCache) Bytes() int64 {
 // same key share one execution of fn. Unlike a cache it holds only
 // in-flight calls — completed keys are immediately forgotten (the result
 // cache is the durable layer above it).
-type flightGroup struct {
+type flightGroup[V any] struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[string]*flightCall[V]
 }
 
-type flightCall struct {
+type flightCall[V any] struct {
 	done chan struct{}
-	rec  *CachedResult
+	val  V
 	err  error
 }
 
-func newFlightGroup() *flightGroup { return &flightGroup{m: make(map[string]*flightCall)} }
+func newFlightGroup[V any]() *flightGroup[V] {
+	return &flightGroup[V]{m: make(map[string]*flightCall[V])}
+}
 
 // Do executes fn once per key among concurrent callers. shared reports
 // whether this caller joined an execution another caller started.
-func (g *flightGroup) Do(key string, fn func() (*CachedResult, error)) (rec *CachedResult, shared bool, err error) {
+func (g *flightGroup[V]) Do(key string, fn func() (V, error)) (val V, shared bool, err error) {
 	g.mu.Lock()
 	if call, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		<-call.done
-		return call.rec, true, call.err
+		return call.val, true, call.err
 	}
-	call := &flightCall{done: make(chan struct{})}
+	call := &flightCall[V]{done: make(chan struct{})}
 	g.m[key] = call
 	g.mu.Unlock()
 
-	call.rec, call.err = fn()
+	call.val, call.err = fn()
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(call.done)
-	return call.rec, false, call.err
+	return call.val, false, call.err
 }

@@ -1,12 +1,10 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"macroop/internal/config"
@@ -20,21 +18,22 @@ import (
 // worker on one window indefinitely.
 const maxGapNodeBudget = 10_000_000
 
-// gapCacheEntries bounds the in-memory gap-report cache. Gap reports are
+// maxGapReports bounds the in-memory gap-report cache. Gap reports are
 // few and small (one per distinct spec, kilobytes each), so a small LRU
 // is plenty.
-const gapCacheEntries = 64
+const maxGapReports = 64
 
-// GapRequest is a heuristic-vs-optimum gap analysis (POST /v1/gap):
+// GapRequest is a scheduler-vs-optimum gap analysis (POST /v1/gap):
 // extract instruction windows from the named benchmarks under the given
-// machine configuration, replay every scheduling heuristic over them,
-// and solve each window exactly with the branch-and-bound oracle.
+// machine configuration, replay every scheduling model over them on the
+// production scheduler kernel, and solve each window exactly with the
+// branch-and-bound oracle.
 type GapRequest struct {
 	// Benchmarks to analyze; empty means the full 12-benchmark suite.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Config is the machine configuration supplying the window model's
 	// latencies and issue resources (the scheduler choice is irrelevant —
-	// the gap pipeline replays all heuristics — but the spec must still
+	// the gap pipeline replays every model — but the spec must still
 	// validate).
 	Config ConfigSpec `json:"config"`
 	// Window is the uop window size (default 32, clamped to [4,64]).
@@ -129,7 +128,7 @@ func (s *Service) Gap(ctx context.Context, req GapRequest) (*GapResponse, error)
 	}
 	defer s.pending.Add(-1)
 	var ran bool
-	rep, shared, err := s.gapFlights.Do(rg.fp, func() (*experiments.GapReport, error) {
+	rep, shared, err := s.gapCalls.Do(rg.fp, func() (*experiments.GapReport, error) {
 		if rep, ok := s.gaps.Get(rg.fp); ok {
 			return rep, nil // lost the lookup/insert race: still a hit
 		}
@@ -198,91 +197,4 @@ func (s *Service) journalGap(fp string, rep *experiments.GapReport) {
 	if err != nil {
 		s.opts.Logf("service: journal gap %s: %v", fp, err)
 	}
-}
-
-// ---------------------------------------------------------------------
-// Gap cache and singleflight. The cell-result cache and flight group are
-// typed to *CachedResult (the cluster protocol moves those records
-// between nodes), so gap reports get their own small, self-contained
-// pair under the same discipline.
-
-// gapCache is a bounded LRU of gap reports keyed by fingerprint.
-type gapCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // front = most recently used
-}
-
-type gapEntry struct {
-	key string
-	rep *experiments.GapReport
-}
-
-func newGapCache(capacity int) *gapCache {
-	if capacity <= 0 {
-		capacity = gapCacheEntries
-	}
-	return &gapCache{cap: capacity, m: make(map[string]*list.Element), lru: list.New()}
-}
-
-func (c *gapCache) Get(fp string) (*experiments.GapReport, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[fp]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(e)
-	return e.Value.(*gapEntry).rep, true
-}
-
-func (c *gapCache) Put(fp string, rep *experiments.GapReport) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[fp]; ok {
-		e.Value.(*gapEntry).rep = rep
-		c.lru.MoveToFront(e)
-		return
-	}
-	c.m[fp] = c.lru.PushFront(&gapEntry{key: fp, rep: rep})
-	for c.lru.Len() > c.cap {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.m, tail.Value.(*gapEntry).key)
-	}
-}
-
-// gapFlight coalesces concurrent identical gap runs, mirroring
-// flightGroup for the gap report type.
-type gapFlight struct {
-	mu sync.Mutex
-	m  map[string]*gapCall
-}
-
-type gapCall struct {
-	done chan struct{}
-	rep  *experiments.GapReport
-	err  error
-}
-
-func newGapFlight() *gapFlight { return &gapFlight{m: make(map[string]*gapCall)} }
-
-func (g *gapFlight) Do(key string, fn func() (*experiments.GapReport, error)) (rep *experiments.GapReport, shared bool, err error) {
-	g.mu.Lock()
-	if call, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-call.done
-		return call.rep, true, call.err
-	}
-	call := &gapCall{done: make(chan struct{})}
-	g.m[key] = call
-	g.mu.Unlock()
-
-	call.rep, call.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(call.done)
-	return call.rep, false, call.err
 }

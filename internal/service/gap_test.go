@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,6 +13,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"macroop/internal/experiments"
+	"macroop/internal/journal"
+	"macroop/internal/optsched"
+	"macroop/internal/simerr"
 )
 
 // gapTestReq keeps gap runs tiny: one benchmark, two 8-uop windows, a
@@ -249,5 +255,66 @@ func TestGapJournalWarmRestart(t *testing.T) {
 	}
 	if _, _, runs, _ := s2.GapStats(); runs != 0 {
 		t.Errorf("restarted service ran %d gap analyses on a warmed cache, want 0", runs)
+	}
+}
+
+// TestGapJournalStaleModelRerun: a gapres| record journaled under the
+// fingerprint formula that predates the model version (benchmarks,
+// machine and spec only) holds a report from a different scheduling
+// model. A service restarted on that journal must not serve it: the
+// request runs the analysis afresh.
+func TestGapJournalStaleModelRerun(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "gap.journal")
+	req := gapTestReq()
+	m, err := req.Config.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := optsched.GapSpec{Window: req.Window, Stride: req.Stride, MaxWindows: req.MaxWindows, NodeBudget: req.NodeBudget}.WithDefaults()
+	cfgJSON, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldFP := simerr.Fingerprint("gap", fmt.Sprint(req.Benchmarks), string(cfgJSON),
+		fmt.Sprint(spec.Window), fmt.Sprint(spec.Stride), fmt.Sprint(spec.MaxWindows), fmt.Sprint(spec.NodeBudget))
+	stale := &experiments.GapReport{Spec: spec, Machine: "table1", Benches: []optsched.BenchGap{{
+		Bench: "gzip", Windows: 2, OptimalWindows: 2, OptCycles: 9, BoundCycles: 9,
+		Heur: map[string]int64{"base": 11, "2-cycle": 11, "macro-op": 11, "select-free": 15},
+	}}}
+	data, err := json.Marshal(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(KeyGap+oldFP, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Options{Workers: 2, DefaultInsts: testInsts, JournalPath: jpath, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.Start()
+	defer s.Close()
+	resp, err := s.Gap(context.Background(), req)
+	if err != nil {
+		t.Fatalf("gap: %v", err)
+	}
+	if resp.Cached {
+		t.Errorf("served the stale journaled report (fingerprint %s)", resp.Fingerprint)
+	}
+	if _, _, runs, _ := s.GapStats(); runs != 1 {
+		t.Errorf("gap runs = %d, want 1 fresh analysis", runs)
+	}
+	for _, model := range optsched.Models {
+		if resp.Report.Benches[0].Heur[model.String()] == 0 {
+			t.Errorf("%v row missing from the report", model)
+		}
 	}
 }

@@ -30,7 +30,7 @@ const StatusClientClosedRequest = 499
 //
 //	POST /v1/simulate       one cell, synchronous
 //	POST /v1/matrix         batched sweep (async; wait/stream modes)
-//	POST /v1/gap            heuristic-vs-optimum gap report, synchronous
+//	POST /v1/gap            scheduler-vs-optimum gap report, synchronous
 //	GET  /v1/jobs           job summaries, newest first
 //	GET  /v1/jobs/{id}      one job's status and finished cells
 //	GET  /v1/jobs/{id}/stream  NDJSON replay+live stream of cell results

@@ -122,14 +122,14 @@ type task struct {
 
 // Service is the batched, cached simulation service behind cmd/mopserve.
 type Service struct {
-	opts       Options
-	runner     *experiments.Runner // shared per-benchmark program futures
-	cache      *resultCache
-	flights    *flightGroup
-	gaps       *gapCache
-	gapFlights *gapFlight
-	jnl        *journal.Journal
-	met        *metrics
+	opts     Options
+	runner   *experiments.Runner // shared per-benchmark program futures
+	cache    *resultCache[*CachedResult]
+	flights  *flightGroup[*CachedResult]
+	gaps     *resultCache[*experiments.GapReport]
+	gapCalls *flightGroup[*experiments.GapReport]
+	jnl      *journal.Journal
+	met      *metrics
 
 	queue   chan *task
 	pending atomic.Int64 // admitted, unfinished cells
@@ -173,15 +173,15 @@ const (
 func New(opts Options) (*Service, error) {
 	opts = opts.withDefaults()
 	s := &Service{
-		opts:       opts,
-		runner:     experiments.NewRunner(0), // program cache only; budgets are per-cell
-		cache:      newResultCache(opts.CacheEntries, opts.CacheBytes),
-		flights:    newFlightGroup(),
-		gaps:       newGapCache(gapCacheEntries),
-		gapFlights: newGapFlight(),
-		queue:      make(chan *task, opts.QueueDepth),
-		jobs:       make(map[string]*Job),
-		execFPs:    make(map[string]int),
+		opts:     opts,
+		runner:   experiments.NewRunner(0), // program cache only; budgets are per-cell
+		cache:    newResultCache(opts.CacheEntries, opts.CacheBytes),
+		flights:  newFlightGroup[*CachedResult](),
+		gaps:     newCache[*experiments.GapReport](maxGapReports, 0, nil),
+		gapCalls: newFlightGroup[*experiments.GapReport](),
+		queue:    make(chan *task, opts.QueueDepth),
+		jobs:     make(map[string]*Job),
+		execFPs:  make(map[string]int),
 	}
 	s.runCtx, s.stopRun = context.WithCancel(context.Background())
 	s.hardCtx, s.stopHard = context.WithCancel(context.Background())
