@@ -10,12 +10,14 @@
 //     ratio the regression gate compares.
 //   - configs: one steady-state measurement per scheduler model
 //     (baseline, 2-cycle, MOP-CAM, MOP-wired-OR, select-free) on one
-//     benchmark, reporting simulated uops/sec, cycles/sec, a per-stage
-//     wall-time breakdown from a separate accounting leg, and — after a
-//     warm-up run that grows every pool and scratch buffer — allocations
-//     and bytes per simulated cycle. The steady-state cycle loop is
-//     required to be allocation-free; the run exits non-zero when any
-//     config exceeds -max-allocs-per-cycle.
+//     benchmark, plus baseline and MOP-CAM again with the lockstep
+//     checker attached (the +check cells, mopserve's per-cell path),
+//     reporting simulated uops/sec, cycles/sec, a per-stage wall-time
+//     breakdown from a separate accounting leg, and — after a warm-up
+//     run that grows every pool and scratch buffer — allocations and
+//     bytes per simulated cycle. The steady-state cycle loop, checked
+//     or not, is required to be allocation-free; the run exits non-zero
+//     when any config exceeds -max-allocs-per-cycle.
 //   - table2: the end-to-end Table 2 experiment (every benchmark, base
 //     scheduler, two queue sizes), the same work BenchmarkTable2 does,
 //     reporting aggregate simulated uops/sec.
@@ -54,6 +56,7 @@ import (
 	"sort"
 	"time"
 
+	"macroop/internal/checker"
 	"macroop/internal/config"
 	"macroop/internal/core"
 	"macroop/internal/experiments"
@@ -104,23 +107,27 @@ type Report struct {
 	Table2         Table2Result   `json:"table2"`
 }
 
-func schedConfigs() []struct {
-	name string
-	m    config.Machine
-} {
+// schedConfig is one configs cell: a machine, and whether its legs run
+// with the lockstep checker attached.
+type schedConfig struct {
+	name  string
+	m     config.Machine
+	check bool
+}
+
+func schedConfigs() []schedConfig {
 	camMOP := config.DefaultMOP()
 	camMOP.Wakeup = config.WakeupCAM2Src
 	worMOP := config.DefaultMOP()
 	worMOP.Wakeup = config.WakeupWiredOR
-	return []struct {
-		name string
-		m    config.Machine
-	}{
-		{"baseline", config.Default()},
-		{"two-cycle", config.Default().WithSched(config.SchedTwoCycle)},
-		{"mop-cam", config.Default().WithMOP(camMOP)},
-		{"mop-wired-or", config.Default().WithMOP(worMOP)},
-		{"select-free", config.Default().WithSched(config.SchedSelectFreeScoreboard)},
+	return []schedConfig{
+		{"baseline", config.Default(), false},
+		{"two-cycle", config.Default().WithSched(config.SchedTwoCycle), false},
+		{"mop-cam", config.Default().WithMOP(camMOP), false},
+		{"mop-wired-or", config.Default().WithMOP(worMOP), false},
+		{"select-free", config.Default().WithSched(config.SchedSelectFreeScoreboard), false},
+		{"baseline+check", config.Default(), true},
+		{"mop-cam+check", config.Default().WithMOP(camMOP), true},
 	}
 }
 
@@ -206,7 +213,7 @@ const stageWindow = 60_000
 // the whole configs section so their timed throughput legs can be
 // interleaved (see run).
 type cell struct {
-	m     config.Machine
+	sc    schedConfig
 	prog  *program.Program
 	warm  int64     // untimed prefix run before every measurement
 	insts int64     // timed window after the prefix
@@ -214,13 +221,27 @@ type cell struct {
 	res   ConfigResult
 }
 
+// newCore builds a fresh core for one of sc's legs, with the lockstep
+// checker attached for a +check cell.
+func newCore(sc schedConfig, prog *program.Program) (*core.Core, error) {
+	c, err := core.New(sc.m, prog)
+	if err != nil {
+		return nil, fmt.Errorf("%s: configure: %w", sc.name, err)
+	}
+	if sc.check {
+		c.SetHooks(checker.New(prog, sc.m.IQEntries, 0))
+	}
+	return c, nil
+}
+
 // prepareConfig runs one cell's untimed legs — warm-up, allocation
 // windows, stage-accounting window — and returns the cell ready for timed
 // throughput legs.
-func prepareConfig(name, bench string, m config.Machine, prog *program.Program, insts int64) (*cell, error) {
-	c, err := core.New(m, prog)
+func prepareConfig(sc schedConfig, bench string, prog *program.Program, insts int64) (*cell, error) {
+	name := sc.name
+	c, err := newCore(sc, prog)
 	if err != nil {
-		return nil, fmt.Errorf("%s: configure: %w", name, err)
+		return nil, err
 	}
 	// Warm-up leg: grow every pool, ring, and scratch buffer (and the
 	// functional model's memory pages the warm window touches) before
@@ -275,7 +296,7 @@ func prepareConfig(name, bench string, m config.Machine, prog *program.Program, 
 	c.SetStageAccounting(false)
 
 	return &cell{
-		m:     m,
+		sc:    sc,
 		prog:  prog,
 		warm:  warm,
 		insts: insts,
@@ -292,11 +313,12 @@ func prepareConfig(name, bench string, m config.Machine, prog *program.Program, 
 // measureThroughput runs one timed wall-clock leg. Each leg builds a
 // fresh core, runs the warm-up prefix untimed and times the next insts
 // instructions, so every leg of every report covers the same instruction
-// window and legs differ only by host noise.
+// window and legs differ only by host noise. A +check cell's checker
+// runs from the first cycle, so the timed window is checked throughout.
 func (cl *cell) measureThroughput() error {
-	c, err := core.New(cl.m, cl.prog)
+	c, err := newCore(cl.sc, cl.prog)
 	if err != nil {
-		return fmt.Errorf("%s: configure: %w", cl.res.Name, err)
+		return err
 	}
 	if _, err := c.Run(cl.warm); err != nil {
 		return fmt.Errorf("%s: warmup: %w", cl.res.Name, err)
@@ -507,7 +529,7 @@ func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts
 	failed := false
 	var cells []*cell
 	for _, sc := range schedConfigs() {
-		cl, err := prepareConfig(sc.name, bench, sc.m, prog, insts)
+		cl, err := prepareConfig(sc, bench, prog, insts)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -550,7 +572,7 @@ func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts
 	hostWall := median(hostWalls)
 	rep.Host = HostResult{Steps: hostSteps, PermBytes: 4 * hostPermLen, WallSec: hostWall, StepsPerSec: hostSteps / hostWall}
 
-	fmt.Printf("%-13s %8.1f Msteps/s (%d steps over a %d KiB permutation)\n",
+	fmt.Printf("%-14s %8.1f Msteps/s (%d steps over a %d KiB permutation)\n",
 		"host", rep.Host.StepsPerSec/1e6, rep.Host.Steps, rep.Host.PermBytes>>10)
 	for _, cl := range cells {
 		cr := cl.res
@@ -560,12 +582,12 @@ func run(base *Report, out string, short bool, insts int64, cfgReps int, t2Insts
 			status = fmt.Sprintf("FAIL (> %.3f)", maxAllocs)
 			failed = true
 		}
-		fmt.Printf("%-13s %8.0f kuops/s %7.4f uops/host-step %9.0f kcycles/s %7.4f allocs/cycle %6.1f B/cycle  sched %2.0f%% insert %2.0f%% fetch %2.0f%%  %s\n",
+		fmt.Printf("%-14s %8.0f kuops/s %7.4f uops/host-step %9.0f kcycles/s %7.4f allocs/cycle %6.1f B/cycle  sched %2.0f%% insert %2.0f%% fetch %2.0f%%  %s\n",
 			cr.Name, cr.UopsPerSec/1e3, perHost(&rep, cr.UopsPerSec), cr.CyclesPerSec/1e3,
 			cr.AllocsPerCycle, cr.BytesPerCycle,
 			100*cr.Stages.Sched, 100*cr.Stages.Insert, 100*cr.Stages.Fetch, status)
 	}
-	fmt.Printf("%-13s %8.0f kuops/s %7.4f uops/host-step (%d cells, %.2fs wall)\n",
+	fmt.Printf("%-14s %8.0f kuops/s %7.4f uops/host-step (%d cells, %.2fs wall)\n",
 		"table2", rep.Table2.UopsPerSec/1e3, perHost(&rep, rep.Table2.UopsPerSec),
 		rep.Table2.Cells, rep.Table2.WallSec)
 

@@ -22,16 +22,23 @@
 // (golden.go) and the property tests record and compare.
 //
 // Attach a checker with core.SetHooks; it is timing-passive and costs
-// one extra functional execution of the committed stream.
+// one extra functional execution of the committed stream. Its
+// bookkeeping allocates nothing in steady state: per-entry state lives
+// in a direct-mapped table keyed by entry ID (entries.go) and the
+// checksum hashes each word's zero high bytes with one multiply, so a
+// checked run costs about 1.2x an unchecked one, most of the difference
+// being the reference model's own execution.
 package checker
 
 import (
 	"fmt"
+	"math/bits"
 
 	"macroop/internal/core"
 	"macroop/internal/functional"
 	"macroop/internal/isa"
 	"macroop/internal/program"
+	"macroop/internal/sched"
 	"macroop/internal/simerr"
 )
 
@@ -119,15 +126,10 @@ type Checker struct {
 
 	iqCap int
 
-	// lastIssue[entryID<<4|opIdx] is the most recent grant cycle for an
-	// in-flight op; entries are deleted as their ops commit, so the map
-	// stays bounded by the instruction window.
-	lastIssue map[int64]int64
-	// mop[entryID] is the member sequence list reported by OnMOPFormed,
-	// deleted when the entry's last op commits.
-	mop map[int64][]int64
-	// mopNext[entryID] is the next expected OpIdx for a multi-op entry.
-	mopNext map[int64]int
+	// ents holds each in-flight entry's last grant cycle per op (cleared
+	// as the op commits) and its formation report (cleared when its last
+	// op commits), so it stays bounded by the instruction window.
+	ents entryTable
 }
 
 var _ core.Hooks = (*Checker)(nil)
@@ -146,17 +148,15 @@ const (
 // checksum the same prefix.
 func New(prog *program.Program, iqEntries int, sumLimit int64) *Checker {
 	return &Checker{
-		name:      prog.Name,
-		ref:       functional.NewExecutor(prog),
-		inv:       InvAll,
-		sum:       fnvOffset,
-		sumLimit:  sumLimit,
-		lastSeq:   -1,
-		lastCyc:   -1,
-		iqCap:     iqEntries,
-		lastIssue: make(map[int64]int64),
-		mop:       make(map[int64][]int64),
-		mopNext:   make(map[int64]int),
+		name:     prog.Name,
+		ref:      functional.NewExecutor(prog),
+		inv:      InvAll,
+		sum:      fnvOffset,
+		sumLimit: sumLimit,
+		lastSeq:  -1,
+		lastCyc:  -1,
+		iqCap:    iqEntries,
+		ents:     newEntryTable(),
 	}
 }
 
@@ -198,23 +198,50 @@ func (k *Checker) errorf(format string, args ...any) error {
 		append([]any{k.commits}, args...)...)
 }
 
+// fnvZeros[j] is fnvPrime^j: FNV-1a over j zero bytes, whose XOR steps
+// are no-ops, multiplies the hash by it.
+var fnvZeros = func() (p [9]uint64) {
+	p[0] = 1
+	for j := 1; j < len(p); j++ {
+		p[j] = p[j-1] * fnvPrime
+	}
+	return p
+}()
+
 // mix folds 64-bit words into the running FNV-1a checksum.
 func (k *Checker) mix(vs ...uint64) {
 	h := k.sum
 	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
+		h = fnvWord(h, v)
 	}
 	k.sum = h
 }
 
+// fnvWord folds v's eight little-endian bytes into FNV-1a hash h. It
+// hashes the significant low bytes one by one and the zero high bytes
+// with a single multiply, so the result equals byte-wise FNV-1a.
+func fnvWord(h, v uint64) uint64 {
+	n := (bits.Len64(v) + 7) / 8
+	for i := 0; i < n; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h * fnvZeros[8-n]
+}
+
 // OnIssue implements core.Hooks: it records the grant so the commit-side
 // invariant "committed ops were issued, and issued no later than they
-// committed" has something to check against.
+// committed" has something to check against. An op index beyond the
+// sched.MaxMOPOps an entry can hold is not recorded, so its commit
+// fails that check.
 func (k *Checker) OnIssue(ev *core.IssueEvent) error {
-	k.lastIssue[ev.EntryID<<4|int64(ev.OpIdx)] = ev.Cycle
+	if uint(ev.OpIdx) >= sched.MaxMOPOps {
+		return nil
+	}
+	r := k.ents.claim(ev.EntryID)
+	r.issue[ev.OpIdx] = ev.Cycle
+	r.issued |= 1 << ev.OpIdx
 	return nil
 }
 
@@ -224,7 +251,7 @@ func (k *Checker) OnMOPFormed(entryID int64, seqs []int64) error {
 	if k.inv&InvMOPAtomicity == 0 {
 		return nil
 	}
-	if len(seqs) < 2 {
+	if len(seqs) < 2 || len(seqs) > sched.MaxMOPOps {
 		return simerr.New(simerr.KindCheckFailed, simerr.Context{Benchmark: k.name},
 			"entry %d formed a MOP with %d member(s)", entryID, len(seqs))
 	}
@@ -234,7 +261,10 @@ func (k *Checker) OnMOPFormed(entryID int64, seqs []int64) error {
 				"entry %d MOP members out of program order: %v", entryID, seqs)
 		}
 	}
-	k.mop[entryID] = append([]int64(nil), seqs...)
+	// A repeated report replaces the members but keeps the commit
+	// position.
+	r := k.ents.claim(entryID)
+	r.n = uint8(copy(r.seqs[:], seqs))
 	return nil
 }
 
@@ -268,11 +298,11 @@ func (k *Checker) OnCommit(ev *core.CommitEvent) error {
 
 	// Scheduling invariants: the op issued, no later than it commits, and
 	// its entry settled with the result available before now. The issue
-	// record is consumed regardless so the map stays window-bounded with
-	// the group disabled.
-	key := ev.EntryID<<4 | int64(ev.OpIdx)
-	issued, ok := k.lastIssue[key]
-	delete(k.lastIssue, key)
+	// record is consumed regardless so the table stays window-bounded
+	// with the group disabled.
+	r := k.ents.find(ev.EntryID)
+	issued, ok := r.takeIssue(ev.OpIdx)
+	k.ents.release(r)
 	if k.inv&InvScheduling != 0 {
 		if !ok {
 			return k.errorf("seq %d (entry %d op %d) commits without ever issuing", d.Seq, ev.EntryID, ev.OpIdx)
@@ -290,25 +320,24 @@ func (k *Checker) OnCommit(ev *core.CommitEvent) error {
 
 	// MOP atomicity: members commit exactly as formed, in op order.
 	if k.inv&InvMOPAtomicity != 0 && ev.NumOps > 1 {
-		seqs, ok := k.mop[ev.EntryID]
-		if !ok {
+		if r == nil || r.n == 0 {
 			return k.errorf("seq %d commits from multi-op entry %d that never reported formation", d.Seq, ev.EntryID)
 		}
-		next := k.mopNext[ev.EntryID]
+		next := int(r.next)
 		if ev.OpIdx != next {
 			return k.errorf("entry %d commits op %d before op %d (MOP not committing in op order)", ev.EntryID, ev.OpIdx, next)
 		}
-		if len(seqs) != ev.NumOps {
-			return k.errorf("entry %d formed with %d members but commits with %d ops", ev.EntryID, len(seqs), ev.NumOps)
+		if int(r.n) != ev.NumOps {
+			return k.errorf("entry %d formed with %d members but commits with %d ops", ev.EntryID, r.n, ev.NumOps)
 		}
-		if seqs[ev.OpIdx] != d.Seq {
-			return k.errorf("entry %d op %d commits seq %d, formed as seq %d", ev.EntryID, ev.OpIdx, d.Seq, seqs[ev.OpIdx])
+		if r.seqs[ev.OpIdx] != d.Seq {
+			return k.errorf("entry %d op %d commits seq %d, formed as seq %d", ev.EntryID, ev.OpIdx, d.Seq, r.seqs[ev.OpIdx])
 		}
 		if ev.OpIdx == ev.NumOps-1 {
-			delete(k.mop, ev.EntryID)
-			delete(k.mopNext, ev.EntryID)
+			r.n, r.next = 0, 0
+			k.ents.release(r)
 		} else {
-			k.mopNext[ev.EntryID] = next + 1
+			r.next++
 		}
 	}
 

@@ -94,6 +94,12 @@ type Core struct {
 	}
 
 	res Result
+
+	// Hook event storage, rewritten for every event: hooks receive
+	// pointers and slices into it that are valid only during the call.
+	issueEv  IssueEvent
+	commitEv CommitEvent
+	mopSeqs  [sched.MaxMOPOps]int64
 }
 
 // NewFromSource builds a core that fetches from an arbitrary dynamic

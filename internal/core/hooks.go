@@ -44,6 +44,11 @@ type CommitEvent struct {
 // by returning an error, which aborts the simulation: Core.Run returns
 // the error verbatim. Attaching hooks never changes timing; a nil hook
 // set costs one pointer test per event site.
+//
+// Event pointers and the seqs slice point into storage the core reuses
+// for the next event, so they are valid only for the duration of the
+// call: a hook that keeps an event, its Dyn or the member list past its
+// return must copy it. This keeps the checked cycle loop allocation-free.
 type Hooks interface {
 	// OnIssue fires for every grant the core acts on.
 	OnIssue(ev *IssueEvent) error
@@ -64,12 +69,14 @@ func (c *Core) hookIssue(u *uop, cycle int64) {
 	if c.hooks == nil || c.hookErr != nil {
 		return
 	}
-	c.hookErr = c.hooks.OnIssue(&IssueEvent{
+	ev := &c.issueEv
+	*ev = IssueEvent{
 		Cycle:   cycle,
 		Seq:     u.d.Seq,
 		EntryID: u.entry.ID(),
 		OpIdx:   u.opIdx,
-	})
+	}
+	c.hookErr = c.hooks.OnIssue(ev)
 }
 
 // hookCommit forwards a retirement to the hooks. It must run before
@@ -79,7 +86,8 @@ func (c *Core) hookCommit(u *uop) {
 	if c.hooks == nil || c.hookErr != nil {
 		return
 	}
-	c.hookErr = c.hooks.OnCommit(&CommitEvent{
+	ev := &c.commitEv
+	*ev = CommitEvent{
 		Cycle:      c.cycle,
 		Dyn:        &u.d,
 		DataReg:    u.dataReg,
@@ -89,7 +97,8 @@ func (c *Core) hookCommit(u *uop) {
 		IsMOP:      u.entry.IsMOP(),
 		EntryFinal: u.entry.Final(),
 		ReadyAt:    c.commitReadyAt(u),
-	})
+	}
+	c.hookErr = c.hooks.OnCommit(ev)
 }
 
 // hookMOPFormed reports a closed (or demoted-but-nonempty) macro-op.
@@ -97,7 +106,7 @@ func (c *Core) hookMOPFormed(h *uop) {
 	if c.hooks == nil || c.hookErr != nil {
 		return
 	}
-	seqs := make([]int64, len(h.members))
+	seqs := c.mopSeqs[:len(h.members)]
 	for i, m := range h.members {
 		seqs[i] = m.d.Seq
 	}

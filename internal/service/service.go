@@ -507,7 +507,10 @@ func (s *Service) executeCell(ctx context.Context, c resolvedCell) (rec *CachedR
 // finishCell records a completed cell on its job and handles job
 // completion: terminal metrics and the jobdone journal record.
 func (s *Service) finishCell(t *task, cr *CellResult) {
-	defer s.pending.Add(-1)
+	// Leave the queue before record publishes the result: record can
+	// wake a synchronous Simulate caller, who must not then see its own
+	// cell still counted in the queue depth.
+	s.pending.Add(-1)
 	if cr.Error == "" {
 		s.met.cellsOK.Add(1)
 	} else {
