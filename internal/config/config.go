@@ -115,6 +115,11 @@ func DefaultMOP() MOPConfig {
 	}
 }
 
+// MaxMOPWindow is the largest MOP detection window, ScopeGroups × Width
+// instructions, that the detector holds: its window keeps one 64-bit mask
+// per instruction property.
+const MaxMOPWindow = 64
+
 // Machine is the full machine configuration (Table 1).
 type Machine struct {
 	// Width is fetch/issue/commit width (4 in Table 1).
@@ -219,6 +224,8 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: chained MOPs (size > 2) require wired-OR wakeup (a 2-comparator CAM cannot track the source union)")
 	case m.MOP.ScopeGroups < 1:
 		return fmt.Errorf("config: MOP scope must be at least one group")
+	case m.Sched == SchedMOP && m.MOP.ScopeGroups*m.Width > MaxMOPWindow:
+		return fmt.Errorf("config: MOP scope of %d groups × width %d exceeds the %d-instruction detection window", m.MOP.ScopeGroups, m.Width, MaxMOPWindow)
 	case m.MOP.DetectionDelay < 0 || m.MOP.ExtraFormationStages < 0:
 		return fmt.Errorf("config: negative MOP latencies")
 	}

@@ -68,6 +68,7 @@ func TestValidationRejections(t *testing.T) {
 		{func(m *Machine) { m.FrontLatency = 0 }, "latencies"},
 		{func(m *Machine) { m.MOP.MaxMOPSize = 1 }, "MOP size"},
 		{func(m *Machine) { m.MOP.ScopeGroups = 0 }, "scope"},
+		{func(m *Machine) { m.Sched = SchedMOP; m.MOP.ScopeGroups = 9; m.Width = 8 }, "9 groups × width 8"},
 		{func(m *Machine) { m.MOP.DetectionDelay = -1 }, "negative"},
 		{func(m *Machine) { m.Mem.DL1.LineBytes = 60 }, "cache"},
 	}

@@ -1,6 +1,7 @@
 package mop
 
 import (
+	"fmt"
 	"math/bits"
 
 	"macroop/internal/config"
@@ -18,43 +19,14 @@ type DetectStats struct {
 	ConflictLosses   int64 // heads that lost the priority-decoder conflict
 }
 
-// slot is one instruction being examined in the detection window.
+// slot is one instruction in the window: the fields a detection step
+// reads from it.
 type slot struct {
-	pc       int
-	op       isa.Op
-	dest     isa.Reg // NoReg if the instruction writes no register
-	srcs     [2]isa.Reg
-	nsrc     int // distinct non-R0 source registers
-	taken    bool
-	inval    bool // not a MOP candidate
-	valueGen bool
-	head     bool
-	tail     bool
-}
-
-func newSlot(d *functional.DynInst) slot {
-	s := slot{pc: d.PC, op: d.Inst.Op, dest: isa.NoReg, taken: d.Taken}
-	if d.Inst.WritesReg() {
-		s.dest = d.Inst.Dest
-	}
-	for _, r := range [2]isa.Reg{d.Inst.Src1, d.Inst.Src2} {
-		if r == isa.NoReg || r == isa.R0 {
-			continue
-		}
-		dup := false
-		for k := 0; k < s.nsrc; k++ {
-			if s.srcs[k] == r {
-				dup = true
-			}
-		}
-		if !dup {
-			s.srcs[s.nsrc] = r
-			s.nsrc++
-		}
-	}
-	s.inval = !d.Inst.Op.IsMOPCandidate()
-	s.valueGen = d.Inst.Op.IsValueGenCandidate()
-	return s
+	pc   int
+	key  uint64     // memo key word without the per-step fields (see keyWord)
+	src  [2]isa.Reg // distinct non-R0 sources; NoReg when unused
+	dest isa.Reg    // NoReg if the instruction writes no register
+	nsrc uint8
 }
 
 // Detector implements the MOP detection logic of Section 5.1.2: it
@@ -64,36 +36,53 @@ func newSlot(d *functional.DynInst) slot {
 //
 // Detection is located off the critical path; its latency is modelled by
 // PointerTable visibility (config.MOPConfig.DetectionDelay).
+//
+// The window is flat: n slots in program order, held in a ring, plus one
+// uint64 mask per slot property, bit p describing window position p.
+// Evicting a group advances the ring and shifts the masks by its length.
+// A step whose window fits the memo key replays a recorded outcome when
+// the same window was seen before (see memo.go), so hot loops are
+// analysed once, as the paper's pointers beside the I-cache are; only a
+// step that runs builds the window's dependences.
 type Detector struct {
 	cfg   config.MOPConfig
 	table *PointerTable
 	stats DetectStats
 
-	groups [][]slot // oldest first, at most cfg.ScopeGroups
+	ring    [config.MaxMOPWindow]slot // position p is ring[(start+p)%MaxMOPWindow]
+	start   int
+	n       int
+	groups  [config.MaxMOPWindow]uint8 // window group lengths, oldest first
+	ngroups int
 
-	// Per-step scratch, reused across Observe calls so detection never
-	// allocates in steady state: recycled group backings, the flattened
-	// window, the dependence matrix, head->tail requests, and the
-	// priority-decoder claim bits.
-	slotFree [][]slot
-	winBuf   []*slot
-	depBuf   [][2]int
-	wantBuf  []int
-	claimBuf []bool
+	taken    uint64 // control instructions that were taken
+	inval    uint64 // not a MOP candidate
+	valueGen uint64 // value-generating candidates (possible dependent heads)
+	control  uint64
+	indirect uint64 // indirect control instructions
+	head     uint64
+	tail     uint64
 
-	// Column-bitset dependence matrix: colBits holds one n-bit row mask
-	// per window column (row i starts at i*wn), bit j meaning window row
-	// j directly consumes column i's result. wn is the words-per-mask
-	// for the current window. cycSeen/cycTodo are inducesCycle scratch.
-	colBits []uint64
-	wn      int
-	cycSeen []uint64
-	cycTodo []uint64
+	// Dependences, built by a step that runs: each position's consumer
+	// mask (bit j: position j reads its result) and the position of each
+	// source's producer (-1 outside the window).
+	cons [config.MaxMOPWindow]uint64
+	prod [config.MaxMOPWindow][2]int8
+
+	// The current step's outcome: installs in order, each packed as
+	// head | tail<<6 | control<<12 window positions.
+	inst  [config.MaxMOPWindow]uint16
+	ninst int
+
+	memo []memoSet
+	// Detection steps run, steps whose window packed into a memo key, and
+	// steps replayed from the memo.
+	steps, packed, hits int64
 }
 
 // NewDetector creates a detector installing into the given table.
 func NewDetector(cfg config.MOPConfig, table *PointerTable) *Detector {
-	return &Detector{cfg: cfg, table: table}
+	return &Detector{cfg: cfg, table: table, memo: make([]memoSet, memoSets)}
 }
 
 // Stats returns the accumulated detection statistics.
@@ -105,262 +94,264 @@ func (d *Detector) Observe(cycle int64, group []*functional.DynInst) {
 	if len(group) == 0 {
 		return
 	}
-	if len(d.groups) == d.cfg.ScopeGroups {
-		// Shift in place (keeping the groups backing array) and recycle
-		// the evicted group's slot storage.
-		d.slotFree = append(d.slotFree, d.groups[0][:0])
-		copy(d.groups, d.groups[1:])
-		d.groups = d.groups[:len(d.groups)-1]
+	if d.ngroups == d.cfg.ScopeGroups {
+		d.evict()
 	}
-	var slots []slot
-	if n := len(d.slotFree); n > 0 {
-		slots = d.slotFree[n-1]
-		d.slotFree = d.slotFree[:n-1]
+	if d.n+len(group) > config.MaxMOPWindow {
+		panic(fmt.Sprintf("mop: detection window of %d slots exceeds %d (ScopeGroups × width must fit)", d.n+len(group), config.MaxMOPWindow))
 	}
 	for _, di := range group {
-		slots = append(slots, newSlot(di))
+		d.push(di)
 	}
-	d.groups = append(d.groups, slots)
-	d.step(cycle)
+	d.groups[d.ngroups] = uint8(len(group))
+	d.ngroups++
+	if d.n >= 2 {
+		d.detect(cycle)
+	}
 }
 
-// Reset clears the window (e.g. across a fetch redirect, when the
-// instructions straddling the window are no longer consecutive). Group
-// backings are recycled, not dropped: redirects are frequent enough that
-// losing them would re-allocate the window continuously.
-func (d *Detector) Reset() {
-	for _, g := range d.groups {
-		d.slotFree = append(d.slotFree, g[:0])
-	}
-	d.groups = d.groups[:0]
+// at returns the slot at window position p.
+func (d *Detector) at(p int) *slot {
+	return &d.ring[uint(d.start+p)%config.MaxMOPWindow]
 }
 
-// window flattens the current groups into a single program-order slice of
-// slot pointers.
-func (d *Detector) window() []*slot {
-	w := d.winBuf[:0]
-	for gi := range d.groups {
-		for si := range d.groups[gi] {
-			w = append(w, &d.groups[gi][si])
+// push appends one instruction to the window.
+func (d *Detector) push(di *functional.DynInst) {
+	bit := uint64(1) << d.n
+	in := &di.Inst
+	s := d.at(d.n)
+	d.n++
+	*s = slot{pc: di.PC, src: [2]isa.Reg{isa.NoReg, isa.NoReg}, dest: isa.NoReg}
+	if r := in.Src1; r != isa.NoReg && r != isa.R0 {
+		s.src[0], s.nsrc = r, 1
+	}
+	if r := in.Src2; r != isa.NoReg && r != isa.R0 && r != s.src[0] {
+		s.src[s.nsrc] = r
+		s.nsrc++
+	}
+	if in.WritesReg() {
+		s.dest = in.Dest
+	}
+	op := in.Op
+	taken := op.IsControl() && di.Taken
+	if op.IsControl() {
+		d.control |= bit
+		if op.IsIndirect() {
+			d.indirect |= bit
+		}
+		if taken {
+			d.taken |= bit
 		}
 	}
-	d.winBuf = w
-	return w
+	if !op.IsMOPCandidate() {
+		d.inval |= bit
+	}
+	if op.IsValueGenCandidate() {
+		d.valueGen |= bit
+	}
+	s.key = keyWord(di.PC, op, s.dest, s.src, taken)
 }
 
-// depMatrixRef computes direct register dependences within the window as
-// the original triangle representation: dep[j] holds, for each row j, the
-// column index of the producer of each of j's sources (or -1 when the
-// producer is outside the window). Retained as the reference oracle the
-// bitset matrix is differentially tested against (FuzzBitMatrix); the
-// production scans in step use buildColBits.
-func (d *Detector) depMatrixRef(w []*slot) [][2]int {
-	dep := d.depBuf[:0]
-	var lastWriter [isa.NumRegs]int
-	for r := range lastWriter {
-		lastWriter[r] = -1
+// evict drops the oldest group: the ring advances and every mask shifts
+// down by the group's length.
+func (d *Detector) evict() {
+	l := int(d.groups[0])
+	copy(d.groups[:], d.groups[1:d.ngroups])
+	d.ngroups--
+	d.start = (d.start + l) % config.MaxMOPWindow
+	d.n -= l
+	d.taken >>= l
+	d.inval >>= l
+	d.valueGen >>= l
+	d.control >>= l
+	d.indirect >>= l
+	d.head >>= l
+	d.tail >>= l
+}
+
+// detect runs one detection step, from the memo when this exact window
+// was seen before.
+func (d *Detector) detect(cycle int64) {
+	d.steps++
+	var key [memoSlots]uint64
+	h, ok := d.windowKey(&key)
+	if !ok {
+		d.step()
+		d.apply(cycle)
+		return
 	}
-	for j, s := range w {
-		row := [2]int{-1, -1}
-		for k := 0; k < s.nsrc; k++ {
-			row[k] = lastWriter[s.srcs[k]]
+	d.packed++
+	set := &d.memo[h]
+	for w := range set {
+		if e := &set[w]; e.matches(&key, d.n) {
+			d.hits++
+			set[0].mru = uint8(w)
+			d.replay(e, cycle)
+			return
 		}
-		dep = append(dep, row)
-		if s.dest != isa.NoReg {
-			lastWriter[s.dest] = j
-		}
 	}
-	d.depBuf = dep
-	return dep
+	before := d.stats
+	d.step()
+	d.apply(cycle)
+	w := 1 - set[0].mru
+	set[0].mru = w
+	set[w].record(&key, d, &before)
 }
 
-// dependsOn reports whether row j directly depends on column i in the
-// triangle reference matrix.
-func dependsOn(dep [][2]int, j, i int) bool {
-	return dep[j][0] == i || dep[j][1] == i
-}
-
-// buildColBits computes the same dependence relation as depMatrixRef in
-// column-bitset form: for each producer column i, an n-bit mask of the
-// rows that directly consume it. The mark scan in step then walks only
-// set bits instead of testing every (head, row) pair. A duplicate edge
-// (two source registers with the same in-window producer) collapses to
-// one bit, which is exactly the boolean dependsOn relation.
-func (d *Detector) buildColBits(w []*slot) {
-	n := len(w)
-	wn := (n + 63) / 64
-	d.wn = wn
-	need := n * wn
-	if cap(d.colBits) < need {
-		d.colBits = make([]uint64, need)
-	} else {
-		d.colBits = d.colBits[:need]
-		clear(d.colBits)
+// deps builds the window's direct register dependences: each source's
+// producer is the nearest earlier writer of the register in the window.
+// A duplicate edge (two source registers with the same producer) cannot
+// occur, since a producer writes one register.
+func (d *Detector) deps() {
+	var lastW [isa.NumRegs]int8
+	for r := range lastW {
+		lastW[r] = -1
 	}
-	var lastWriter [isa.NumRegs]int
-	for r := range lastWriter {
-		lastWriter[r] = -1
-	}
-	for j, s := range w {
-		for k := 0; k < s.nsrc; k++ {
-			if p := lastWriter[s.srcs[k]]; p >= 0 {
-				d.colBits[p*wn+j>>6] |= 1 << uint(j&63)
+	for p := 0; p < d.n; p++ {
+		s := d.at(p)
+		d.cons[p] = 0
+		d.prod[p] = [2]int8{-1, -1}
+		for k, r := range s.src[:s.nsrc] {
+			w := lastW[r]
+			if w >= 0 {
+				d.cons[w] |= 1 << p
 			}
+			d.prod[p][k] = w
 		}
 		if s.dest != isa.NoReg {
-			lastWriter[s.dest] = j
+			lastW[s.dest] = int8(p)
 		}
 	}
-}
-
-// depBit reports whether row j directly depends on column i in the
-// bitset matrix built by the last buildColBits call.
-func (d *Detector) depBit(j, i int) bool {
-	return d.colBits[i*d.wn+j>>6]&(1<<uint(j&63)) != 0
 }
 
 // step runs one detection pass over the window: dependent pairs first,
-// then independent pairs (Section 5.4.1).
-func (d *Detector) step(cycle int64) {
-	w := d.window()
-	if len(w) < 2 {
-		return
+// then independent pairs (Section 5.4.1). It updates the head and tail
+// masks and the statistics and leaves the installs in d.inst for apply.
+func (d *Detector) step() {
+	d.deps()
+	d.ninst = 0
+	all := uint64(1)<<d.n - 1
+	heads := d.valueGen &^ d.head
+	if d.cfg.MaxMOPSize <= 2 {
+		heads &^= d.tail // a tail may start another pair only in the chained-MOP extension
 	}
-	d.buildColBits(w)
+	tails := all &^ (d.inval | d.head | d.tail)
 
-	// Dependent-pair detection: each eligible head column scans its
-	// marks top to bottom and requests the first selectable tail. The
-	// column mask walk visits exactly the marked rows (in ascending row
-	// order, matching the reference triangle scan); rows without a mark
-	// for column i contribute nothing to the decision and are skipped
-	// wholesale.
-	want := d.wantBuf[:0] // head index -> chosen tail index, -1 none
-	for range w {
-		want = append(want, -1)
-	}
-	d.wantBuf = want
-	wn := d.wn
-	for i, h := range w {
-		if !d.headEligible(h) {
-			continue
-		}
-		seenMark := false
-		row := d.colBits[i*wn : (i+1)*wn]
-	marks:
-		for wi := 0; wi < wn; wi++ {
-			for m := row[wi]; m != 0; m &= m - 1 {
-				j := wi<<6 + bits.TrailingZeros64(m)
-				t := w[j]
-				// Row j carries a dependence mark for column i. The mark
-				// value is the consumer's source-operand count: "1" is
-				// selectable anywhere; "2" only as the first mark in the
-				// column (the hardware encoding of the Section 5.1.1
-				// cycle heuristic).
-				selectable := t.nsrc == 1 || !seenMark
-				seenMark = true
-				if !d.tailEligible(t) {
-					continue
-				}
-				if !selectable && !d.cfg.PreciseCycleDetection {
-					d.stats.CycleRejects++
-					continue
-				}
-				if d.cfg.PreciseCycleDetection && d.inducesCycle(i, j) {
-					d.stats.CycleRejects++
-					continue
-				}
-				if j-i > MaxOffset {
-					break marks
-				}
-				if _, ok := controlClass(w, i, j); !ok {
-					d.stats.ControlRejects++
-					continue
-				}
-				if d.cfg.Wakeup == config.WakeupCAM2Src && unionSources(h, t) > 2 {
-					d.stats.CAMRejects++
-					continue
-				}
-				if d.table.Blacklisted(h.pc, t.pc) {
-					continue
-				}
-				want[i] = j
-				break marks
-			}
-		}
-	}
-
-	// Priority decoder: oldest head first. A selected tail is marked so
+	// Dependent pairs. Every head's request is made against the flags
+	// the step started with, so each head is decided as soon as it has
+	// scanned: the priority decoder walks heads oldest first and only
+	// consults claims made by older heads. A selected tail is marked so
 	// it is not examined again (Figure 9) — it neither serves a second
 	// head nor starts its own pair in the same step (unless the chained
 	// extension is enabled).
-	claimedTail := d.claimBuf[:0]
-	for range w {
-		claimedTail = append(claimedTail, false)
-	}
-	d.claimBuf = claimedTail
-	for i := 0; i < len(w); i++ {
-		j := want[i]
+	var claimed uint64
+	for hs := heads; hs != 0; hs &= hs - 1 {
+		i := bits.TrailingZeros64(hs)
+		j := d.pickTail(i, tails)
 		if j < 0 {
 			continue
 		}
-		if claimedTail[i] && d.cfg.MaxMOPSize <= 2 {
+		ib, jb := uint64(1)<<i, uint64(1)<<j
+		if claimed&ib != 0 && d.cfg.MaxMOPSize <= 2 {
 			continue // this instruction just became a tail
 		}
-		if claimedTail[j] {
+		if claimed&jb != 0 {
 			d.stats.ConflictLosses++
 			continue
 		}
-		claimedTail[j] = true
-		h, t := w[i], w[j]
-		h.head, t.tail = true, true
-		ctrl, _ := controlClass(w, i, j)
-		d.table.Install(h.pc, t.pc, Pointer{Control: ctrl, Offset: uint8(j - i)}, cycle+int64(d.cfg.DetectionDelay))
+		claimed |= jb
+		d.head |= ib
+		d.tail |= jb
+		ctrl, _ := d.controlClass(i, j)
+		d.record(i, j, ctrl)
 		d.stats.DependentPairs++
 	}
 
 	if d.cfg.GroupIndependent {
-		d.pairIndependent(w, cycle)
+		d.pairIndependent(all)
 	}
 }
 
-func (d *Detector) headEligible(s *slot) bool {
-	if s.inval || s.head || !s.valueGen {
-		return false
-	}
-	// A tail may start another pair only in the chained-MOP extension.
-	if s.tail && d.cfg.MaxMOPSize <= 2 {
-		return false
-	}
-	return true
-}
-
-func (d *Detector) tailEligible(s *slot) bool {
-	return !s.inval && !s.head && !s.tail
-}
-
-// unionSources counts the distinct non-R0 source registers a MOP of h and
-// t would expose to the wakeup array: the head's sources plus the tail's
-// sources minus the intra-MOP edge (Section 5.2.2).
-func unionSources(h, t *slot) int {
-	var regs [4]isa.Reg // each slot exposes at most 2 distinct sources
-	n := 0
-	for k := 0; k < h.nsrc; k++ {
-		regs[n] = h.srcs[k]
-		n++
-	}
-outer:
-	for k := 0; k < t.nsrc; k++ {
-		r := t.srcs[k]
-		if r == h.dest {
-			continue // satisfied inside the MOP; no tag needed
+// pickTail scans head i's column marks top to bottom and returns the
+// first selectable tail, or -1. The consumer mask walk visits exactly the
+// marked rows in ascending order.
+func (d *Detector) pickTail(i int, tails uint64) int {
+	seenMark := false
+	for m := d.cons[i]; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		// Row j carries a dependence mark for column i. The mark value is
+		// the consumer's source-operand count: "1" is selectable anywhere;
+		// "2" only as the first mark in the column (the hardware encoding
+		// of the Section 5.1.1 cycle heuristic).
+		selectable := d.at(j).nsrc == 1 || !seenMark
+		seenMark = true
+		if tails&(1<<j) == 0 {
+			continue
 		}
-		for i := 0; i < n; i++ {
-			if regs[i] == r {
-				continue outer
+		if d.cfg.PreciseCycleDetection {
+			if d.inducesCycle(i, j) {
+				d.stats.CycleRejects++
+				continue
 			}
+		} else if !selectable {
+			d.stats.CycleRejects++
+			continue
 		}
-		regs[n] = r
-		n++
+		if j-i > MaxOffset {
+			return -1
+		}
+		if _, ok := d.controlClass(i, j); !ok {
+			d.stats.ControlRejects++
+			continue
+		}
+		if d.cfg.Wakeup == config.WakeupCAM2Src && d.unionSources(i, j) > 2 {
+			d.stats.CAMRejects++
+			continue
+		}
+		if d.table.Blacklisted(d.at(i).pc, d.at(j).pc) {
+			continue
+		}
+		return j
+	}
+	return -1
+}
+
+// record appends an install of head i → tail j to the step's outcome.
+func (d *Detector) record(i, j int, ctrl bool) {
+	in := uint16(i) | uint16(j)<<6
+	if ctrl {
+		in |= 1 << 12
+	}
+	d.inst[d.ninst] = in
+	d.ninst++
+}
+
+// apply installs the step's pointers, in the order the step chose them.
+func (d *Detector) apply(cycle int64) {
+	at := cycle + int64(d.cfg.DetectionDelay)
+	for _, in := range d.inst[:d.ninst] {
+		d.install(in, at)
+	}
+}
+
+func (d *Detector) install(in uint16, visibleAt int64) {
+	i, j := int(in&63), int(in>>6&63)
+	ptr := Pointer{Control: in&(1<<12) != 0, Offset: uint8(j - i)}
+	d.table.Install(d.at(i).pc, d.at(j).pc, ptr, visibleAt)
+}
+
+// unionSources counts the distinct non-R0 source registers a MOP of head
+// i and tail j would expose to the wakeup array: the head's sources plus
+// the tail's sources minus the intra-MOP edge (Section 5.2.2).
+func (d *Detector) unionSources(i, j int) int {
+	h, t := d.at(i), d.at(j)
+	n := int(h.nsrc)
+	for _, r := range t.src[:t.nsrc] {
+		// An unused source is NoReg, which no used source equals; the
+		// head's result is satisfied inside the MOP and needs no tag.
+		if r != h.dest && r != h.src[0] && r != h.src[1] {
+			n++
+		}
 	}
 	return n
 }
@@ -369,25 +360,15 @@ outer:
 // (window positions) per Section 5.1.3: returns the control bit and
 // whether a pointer may be generated at all. An intervening indirect
 // jump, or multiple control instructions with any taken, forbid grouping.
-func controlClass(w []*slot, i, j int) (controlBit, ok bool) {
-	nControl, nTaken := 0, 0
-	for k := i; k < j; k++ {
-		s := w[k]
-		if !s.op.IsControl() {
-			continue
-		}
-		if s.op.IsIndirect() {
-			return false, false
-		}
-		nControl++
-		if s.taken {
-			nTaken++
-		}
+func (d *Detector) controlClass(i, j int) (controlBit, ok bool) {
+	between := (uint64(1)<<j - 1) &^ (uint64(1)<<i - 1) // positions [i, j)
+	if d.indirect&between != 0 {
+		return false, false
 	}
-	switch {
+	switch nTaken := bits.OnesCount64(d.taken & between); {
 	case nTaken == 0:
 		return false, true
-	case nTaken == 1 && nControl == 1:
+	case nTaken == 1 && bits.OnesCount64(d.control&between) == 1:
 		return true, true
 	default:
 		return false, false
@@ -396,152 +377,71 @@ func controlClass(w []*slot, i, j int) (controlBit, ok bool) {
 
 // inducesCycle is the precise alternative to the heuristic: grouping head
 // i with tail j deadlocks iff some window instruction x strictly between
-// them lies on a dependence path i →+ x →+ j. The search is a bitset BFS
-// over the column masks — frontier expansion never passes through j — and
-// runs allocation-free on the detector's scratch words.
+// them lies on a dependence path i →+ x →+ j. The search is a one-word
+// BFS over the consumer masks whose frontier never passes through j.
 func (d *Detector) inducesCycle(i, j int) bool {
-	wn := d.wn
-	if cap(d.cycSeen) < wn {
-		d.cycSeen = make([]uint64, wn)
-		d.cycTodo = make([]uint64, wn)
-	}
-	seen := d.cycSeen[:wn]
-	todo := d.cycTodo[:wn]
-	jw, jb := j>>6, uint64(1)<<uint(j&63)
-	row := d.colBits[i*wn : (i+1)*wn]
-	copy(seen, row)
-	seen[jw] &^= jb
-	copy(todo, seen)
-	for {
-		// Pop any unexpanded reachable node x (≠ j by construction).
-		x := -1
-		for wi := 0; wi < wn; wi++ {
-			if todo[wi] != 0 {
-				x = wi<<6 + bits.TrailingZeros64(todo[wi])
-				todo[wi] &= todo[wi] - 1
-				break
-			}
-		}
-		if x < 0 {
-			return false
-		}
-		xr := d.colBits[x*wn : (x+1)*wn]
-		if xr[jw]&jb != 0 {
+	jb := uint64(1) << j
+	seen := d.cons[i] &^ jb
+	for todo := seen; todo != 0; {
+		x := bits.TrailingZeros64(todo)
+		todo &= todo - 1
+		c := d.cons[x]
+		if c&jb != 0 {
 			return true // i →+ x →+ j through x ≠ j
 		}
-		for wi := 0; wi < wn; wi++ {
-			nw := xr[wi] &^ seen[wi]
-			if wi == jw {
-				nw &^= jb
-			}
-			seen[wi] |= nw
-			todo[wi] |= nw
-		}
-	}
-}
-
-// inducesCycleRef is the retained triangle-matrix reference for
-// inducesCycle, compared against it by FuzzBitMatrix.
-func (d *Detector) inducesCycleRef(w []*slot, dep [][2]int, i, j int) bool {
-	n := len(w)
-	adj := make([][]int, n)
-	for r := 0; r < n; r++ {
-		for k := 0; k < 2; k++ {
-			if p := dep[r][k]; p >= 0 {
-				adj[p] = append(adj[p], r)
-			}
-		}
-	}
-	// reachable-from-i search that may not pass through j.
-	seen := make([]bool, n)
-	var stack []int
-	for _, c := range adj[i] {
-		if c != j {
-			stack = append(stack, c)
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		for _, c := range adj[x] {
-			if c == j {
-				return true // i →+ x →+ j through x ≠ j
-			}
-			stack = append(stack, c)
-		}
+		c &^= seen | jb
+		seen |= c
+		todo |= c
 	}
 	return false
 }
+
+// indepReach is the mask of positions 1..MaxOffset after a head that an
+// independent tail may occupy.
+const indepReach = uint64(1)<<(MaxOffset+1) - 2
 
 // pairIndependent groups leftover candidate pairs with identical (or
 // empty) source dependences, per Section 5.4.1. Both instructions must
 // read the same values, so shared source registers must have the same
 // in-window producer and must not be rewritten between the two.
-func (d *Detector) pairIndependent(w []*slot, cycle int64) {
-	for i := 0; i < len(w); i++ {
-		h := w[i]
-		if h.inval || h.head || h.tail {
-			continue
+func (d *Detector) pairIndependent(all uint64) {
+	free := all &^ (d.inval | d.head | d.tail)
+	for fs := free; fs != 0; fs &= fs - 1 {
+		i := bits.TrailingZeros64(fs)
+		if free&(1<<i) == 0 {
+			continue // became a tail earlier in this pass
 		}
-		for j := i + 1; j < len(w) && j-i <= MaxOffset; j++ {
-			t := w[j]
-			if t.inval || t.head || t.tail {
+		for c := free & (indepReach << i); c != 0; c &= c - 1 {
+			j := bits.TrailingZeros64(c)
+			if !d.sameSources(i, j) || d.cons[i]&(1<<j) != 0 {
+				continue // different values, or actually dependent
+			}
+			ctrl, ok := d.controlClass(i, j)
+			if !ok || d.table.Blacklisted(d.at(i).pc, d.at(j).pc) {
 				continue
 			}
-			if !sameSources(w, i, j) {
-				continue
-			}
-			if d.depBit(j, i) {
-				continue // actually dependent; handled above
-			}
-			ctrl, ok := controlClass(w, i, j)
-			if !ok {
-				continue
-			}
-			if d.table.Blacklisted(h.pc, t.pc) {
-				continue
-			}
-			h.head, t.tail = true, true
-			d.table.Install(h.pc, t.pc, Pointer{Control: ctrl, Offset: uint8(j - i)}, cycle+int64(d.cfg.DetectionDelay))
+			d.head |= 1 << i
+			d.tail |= 1 << j
+			free &^= 1<<i | 1<<j
+			d.record(i, j, ctrl)
 			d.stats.IndependentPairs++
 			break
 		}
 	}
 }
 
-// sameSources reports whether window rows i and j have identical source
-// register sets reading identical values: for every shared register the
-// last writer before i and before j must be the same instruction (so no
-// instruction in [i, j) rewrites it).
-func sameSources(w []*slot, i, j int) bool {
-	a, b := w[i], w[j]
+// sameSources reports whether window slots i and j have identical source
+// register sets reading identical values: every shared register has the
+// same recorded in-window producer (or none), so no instruction in
+// [i, j) rewrites it.
+func (d *Detector) sameSources(i, j int) bool {
+	a, b := d.at(i), d.at(j)
 	if a.nsrc != b.nsrc {
 		return false
 	}
-	lastWriterBefore := func(r isa.Reg, row int) int {
-		for x := row - 1; x >= 0; x-- {
-			if w[x].dest == r {
-				return x
-			}
-		}
-		return -1
-	}
-	for k := 0; k < b.nsrc; k++ {
-		r := b.srcs[k]
-		found := false
-		for m := 0; m < a.nsrc; m++ {
-			if a.srcs[m] == r {
-				found = true
-			}
-		}
-		if !found {
-			return false
-		}
-		if lastWriterBefore(r, i) != lastWriterBefore(r, j) {
+	pa, pb := &d.prod[i], &d.prod[j]
+	for k, r := range b.src[:b.nsrc] {
+		if !(a.src[0] == r && pa[0] == pb[k] || a.src[1] == r && pa[1] == pb[k]) {
 			return false
 		}
 	}

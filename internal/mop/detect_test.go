@@ -444,25 +444,3 @@ func TestDetectionDelayVisibility(t *testing.T) {
 		t.Fatal("pointer not visible after the delay")
 	}
 }
-
-func TestDetectorReset(t *testing.T) {
-	var s streamBuilder
-	s.alu(1) // 0
-	s.alu(21)
-	s.alu(22)
-	s.alu(23)
-	tbl := NewPointerTable()
-	det := NewDetector(wiredOR(), tbl)
-	det.Observe(0, s.insts)
-	det.Reset()
-	var s2 streamBuilder
-	s2.alu(31) // different PCs start at 0 again... use fresh builder
-	s2.alu(2, 1)
-	s2.insts[0].PC = 100
-	s2.insts[1].PC = 101
-	det.Observe(1, s2.insts)
-	// After reset, the old window must not supply head 0 with tail 101.
-	if _, tailPC, ok := tbl.Lookup(0, 1<<40); ok && tailPC == 101 {
-		t.Fatal("window survived Reset")
-	}
-}

@@ -26,9 +26,10 @@ const MaxOffset = 7
 
 type tableEntry struct {
 	ptr       Pointer
+	valid     bool
+	bans      uint32 // distinct pairs with this head the filter has banned
 	tailPC    int
 	visibleAt int64 // detection-delay modelling: usable from this cycle on
-	valid     bool
 }
 
 // PointerTable stores MOP pointers keyed by the head's static PC. It
@@ -49,6 +50,8 @@ type PointerTable struct {
 	// blacklist holds banned (headPC, tailPC) pairs under one combined
 	// key. A single pre-sized map keeps the last-arriving filter's bans
 	// from allocating per newly-banned head the way a map-of-maps did.
+	// Each head's entry counts its bans, so a head without any skips the
+	// map, and the detector's memo keys on the count.
 	blacklist map[uint64]struct{}
 
 	installs int64
@@ -70,8 +73,27 @@ func pairKey(headPC, tailPC int) uint64 {
 // Blacklisted reports whether the head→tail pair was banned by the
 // last-arriving filter.
 func (t *PointerTable) Blacklisted(headPC, tailPC int) bool {
+	if headPC >= 0 && t.bans(headPC) == 0 {
+		return false
+	}
 	_, banned := t.blacklist[pairKey(headPC, tailPC)]
 	return banned
+}
+
+// bans returns how many distinct pairs with this head PC are banned
+// (0 for a negative PC, whose bans are not counted).
+func (t *PointerTable) bans(headPC int) uint32 {
+	if uint(headPC) < uint(len(t.entries)) {
+		return t.entries[headPC].bans
+	}
+	return 0
+}
+
+// grow extends entries to cover headPC.
+func (t *PointerTable) grow(headPC int) {
+	if headPC >= len(t.entries) {
+		t.entries = append(t.entries, make([]tableEntry, headPC+1-len(t.entries))...)
+	}
 }
 
 // Install records a pointer for headPC, visible from cycle visibleAt.
@@ -84,9 +106,7 @@ func (t *PointerTable) Install(headPC, tailPC int, ptr Pointer, visibleAt int64)
 	if t.Blacklisted(headPC, tailPC) {
 		return
 	}
-	if headPC >= len(t.entries) {
-		t.entries = append(t.entries, make([]tableEntry, headPC+1-len(t.entries))...)
-	}
+	t.grow(headPC)
 	e := &t.entries[headPC]
 	if e.valid && e.tailPC == tailPC && e.visibleAt <= visibleAt {
 		return // already installed earlier; keep the earlier visibility
@@ -94,7 +114,7 @@ func (t *PointerTable) Install(headPC, tailPC int, ptr Pointer, visibleAt int64)
 	if !e.valid {
 		t.live++
 	}
-	*e = tableEntry{ptr: ptr, tailPC: tailPC, visibleAt: visibleAt, valid: true}
+	e.ptr, e.valid, e.tailPC, e.visibleAt = ptr, true, tailPC, visibleAt
 	t.installs++
 }
 
@@ -122,7 +142,15 @@ func (t *PointerTable) Delete(headPC, tailPC int) {
 			t.deletes++
 		}
 	}
-	t.blacklist[pairKey(headPC, tailPC)] = struct{}{}
+	k := pairKey(headPC, tailPC)
+	if _, banned := t.blacklist[k]; banned {
+		return
+	}
+	t.blacklist[k] = struct{}{}
+	if headPC >= 0 {
+		t.grow(headPC)
+		t.entries[headPC].bans++
+	}
 }
 
 // Len returns the number of currently valid pointers.

@@ -80,3 +80,23 @@ func TestDeleteOnlyMatchingTail(t *testing.T) {
 		t.Fatal("unrelated delete removed the live pointer")
 	}
 }
+
+// TestBansCountDistinctPairsPerHead: a head's ban count, which the
+// detector's memo keys on, grows once per distinct banned pair, and a
+// negative head's bans still reach Blacklisted through the map.
+func TestBansCountDistinctPairsPerHead(t *testing.T) {
+	tbl := NewPointerTable()
+	tbl.Delete(3, 4)
+	tbl.Delete(3, 4)
+	tbl.Delete(3, 5)
+	tbl.Delete(-2, 4)
+	if got := tbl.bans(3); got != 2 {
+		t.Fatalf("head 3 has %d bans, want 2", got)
+	}
+	if got := tbl.bans(4); got != 0 {
+		t.Fatalf("head 4 has %d bans, want 0", got)
+	}
+	if !tbl.Blacklisted(-2, 4) || tbl.Blacklisted(-2, 5) || tbl.Blacklisted(4, 3) {
+		t.Fatal("blacklist answers wrong")
+	}
+}

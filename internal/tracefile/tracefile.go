@@ -132,6 +132,9 @@ func (r *Reader) Step(d *functional.DynInst) error {
 		if err != nil {
 			return fmt.Errorf("tracefile line %d: pc: %w", r.line, err)
 		}
+		if pc < 0 {
+			return fmt.Errorf("tracefile line %d: pc: negative %d", r.line, pc)
+		}
 		op, ok := opByName[f[1]]
 		if !ok {
 			return fmt.Errorf("tracefile line %d: unknown op %q", r.line, f[1])

@@ -107,6 +107,7 @@ func TestReaderErrors(t *testing.T) {
 	}{
 		{"1 add r3 r1", "9 fields"},
 		{"x add r3 r1 r2 0 0 0 2", "pc"},
+		{"-5 add r3 r1 r2 0 0 0 2", "line 1: pc: negative -5"},
 		{"1 frob r3 r1 r2 0 0 0 2", "unknown op"},
 		{"1 add r99 r1 r2 0 0 0 2", "bad register"},
 		{"1 add r3 r1 r2 zz 0 0 2", "imm"},
