@@ -142,3 +142,32 @@ func (s *skipSource) Step(d *functional.DynInst) error {
 	}
 	return nil
 }
+
+// TestChainedMOPRespectsQueueCapacity: a chain member whose link fails the
+// transitive cycle check is inserted on its own, and so must wait for a
+// free issue queue entry like any other instruction. Each cell here once
+// overflowed its queue by one entry within its first few thousand commits.
+func TestChainedMOPRespectsQueueCapacity(t *testing.T) {
+	cells := []struct {
+		bench    string
+		size, iq int
+	}{
+		{"gzip", 4, 16},
+		{"gap", 4, 4},
+		{"twolf", 3, 32},
+	}
+	for _, c := range cells {
+		mc := config.DefaultMOP()
+		mc.MaxMOPSize = c.size
+		m := config.Default().WithMOP(mc).WithIQ(c.iq)
+		res, _, err := checker.CheckedRun(m, genBench(t, c.bench), 10_000, 10_000)
+		if err != nil {
+			t.Errorf("%s %dx iq%d: %v", c.bench, c.size, c.iq, err)
+			continue
+		}
+		if res.FormCycleAborts == 0 {
+			t.Errorf("%s %dx iq%d: no chain link was refused, so the cell no longer covers the demoted-member path",
+				c.bench, c.size, c.iq)
+		}
+	}
+}

@@ -27,20 +27,33 @@ type goldenConfig struct {
 	m    config.Machine
 }
 
-// goldenConfigs returns the five scheduler configurations the paper's
-// evaluation rests on (Section 6.2), all with the 32-entry issue queue.
+// goldenConfigs returns the golden matrix. The first five are the
+// scheduler configurations the paper's evaluation rests on (Section 6.2),
+// all with the 32-entry issue queue. The rest close coverage gaps: the
+// select-free scoreboard model (Figure 16's losing variant), the
+// unrestricted queue of Figure 14 under base, 2-cycle and macro-op, and
+// chained MOPs of up to four instructions (the Section 4.3 extension, the
+// only config that forms chains and so reaches the scheduler's
+// transitive DependsOn walk).
 func goldenConfigs() []goldenConfig {
 	mopCfg := func(w config.WakeupStyle) config.Machine {
 		mc := config.DefaultMOP()
 		mc.Wakeup = w
 		return config.Default().WithMOP(mc)
 	}
+	mop4 := config.DefaultMOP()
+	mop4.MaxMOPSize = 4
 	return []goldenConfig{
 		{"base", config.Default().WithSched(config.SchedBase)},
 		{"2cycle", config.Default().WithSched(config.SchedTwoCycle)},
 		{"mop-2src", mopCfg(config.WakeupCAM2Src)},
 		{"mop-wiredor", mopCfg(config.WakeupWiredOR)},
 		{"sf-squash", config.Default().WithSched(config.SchedSelectFreeSquashDep)},
+		{"sf-scoreboard", config.Default().WithSched(config.SchedSelectFreeScoreboard)},
+		{"base-unr", config.Unrestricted().WithSched(config.SchedBase)},
+		{"2cycle-unr", config.Unrestricted().WithSched(config.SchedTwoCycle)},
+		{"mop-wiredor-unr", config.Unrestricted().WithMOP(config.DefaultMOP())},
+		{"mop4-wiredor", config.Default().WithMOP(mop4)},
 	}
 }
 

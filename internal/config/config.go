@@ -212,8 +212,6 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: ROB smaller than machine width")
 	case m.IQEntries < 0:
 		return fmt.Errorf("config: negative issue queue size")
-	case m.IntALUs <= 0 || m.MemPorts <= 0:
-		return fmt.Errorf("config: need at least one ALU and one memory port")
 	case m.FetchBufEntries < m.Width:
 		return fmt.Errorf("config: fetch buffer smaller than machine width")
 	case m.ReplayPenalty < 0 || m.FrontLatency < 1 || m.ExecOffset < 0:
@@ -228,6 +226,24 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: MOP scope of %d groups × width %d exceeds the %d-instruction detection window", m.MOP.ScopeGroups, m.Width, MaxMOPWindow)
 	case m.MOP.DetectionDelay < 0 || m.MOP.ExtraFormationStages < 0:
 		return fmt.Errorf("config: negative MOP latencies")
+	}
+	// Every issuable class needs a unit: a workload instruction of a
+	// class with none would wait in the queue forever, and the run would
+	// end only as a watchdog "deadlock".
+	units := []struct {
+		name string
+		n    int
+	}{
+		{"integer ALU", m.IntALUs},
+		{"integer multiplier", m.IntMuls},
+		{"FP ALU", m.FPALUs},
+		{"FP multiplier", m.FPMuls},
+		{"memory port", m.MemPorts},
+	}
+	for _, u := range units {
+		if u.n <= 0 {
+			return fmt.Errorf("config: need at least one %s (got %d)", u.name, u.n)
+		}
 	}
 	for _, c := range []cache.Config{m.Mem.IL1, m.Mem.DL1, m.Mem.L2} {
 		if err := c.Validate(); err != nil {

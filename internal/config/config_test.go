@@ -63,7 +63,12 @@ func TestValidationRejections(t *testing.T) {
 		{func(m *Machine) { m.Width = 0 }, "width"},
 		{func(m *Machine) { m.ROBEntries = 2 }, "ROB"},
 		{func(m *Machine) { m.IQEntries = -1 }, "queue"},
-		{func(m *Machine) { m.IntALUs = 0 }, "ALU"},
+		{func(m *Machine) { m.IntALUs = 0 }, "integer ALU"},
+		{func(m *Machine) { m.IntMuls = 0 }, "integer multiplier"},
+		{func(m *Machine) { m.FPALUs = 0 }, "FP ALU"},
+		{func(m *Machine) { m.FPMuls = 0 }, "FP multiplier"},
+		{func(m *Machine) { m.MemPorts = 0 }, "memory port"},
+		{func(m *Machine) { m.IntMuls = -1 }, "integer multiplier"},
 		{func(m *Machine) { m.FetchBufEntries = 1 }, "fetch buffer"},
 		{func(m *Machine) { m.FrontLatency = 0 }, "latencies"},
 		{func(m *Machine) { m.MOP.MaxMOPSize = 1 }, "MOP size"},

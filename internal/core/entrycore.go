@@ -524,10 +524,9 @@ func (c *Core) insert() {
 		if c.robCount >= c.cfg.ROBEntries {
 			break
 		}
-		// A claimed tail shares its head's entry; everything else needs a
-		// fresh one.
-		needsEntry := u.claimedBy == nil
-		if needsEntry && !c.sch.HasSpace(1) {
+		// A claimed member shares its head's entry; everything else needs
+		// a fresh one, including a member whose chain link was refused.
+		if !c.joinsHead(u) && !c.sch.HasSpace(1) {
 			break
 		}
 		c.feqPop()

@@ -13,28 +13,10 @@ func (c *Core) renameAndInsert(u *uop) {
 	u.insertedCycle = c.cycle
 	c.trace(u, StageInsert, c.cycle)
 
-	// Member side of a formed MOP: join the head's entry.
+	// Member side of a formed MOP: join the head's entry (insert already
+	// ran joinsHead's chain-link check for this uop).
 	if h := u.claimedBy; h != nil && h.entry != nil && h.entry.PendingTail() {
 		specs, prods := c.srcSpecs(u, h.entry)
-		// Chain links beyond a pair need a transitive cycle check: one of
-		// this member's producers may itself (transitively) wait on the
-		// merged entry, which would deadlock. The pair case is already
-		// covered by detection's conservative heuristic.
-		if h.expectOps > 2 {
-			for _, sp := range specs {
-				if sp.Prod != nil && c.sch.DependsOn(sp.Prod, h.entry) {
-					c.demote(h)
-					c.removePendingHead(h)
-					c.cnt.formCycleAborts++
-					break
-				}
-			}
-			if u.claimedBy == nil {
-				// demote unclaimed us: insert as a normal instruction.
-				c.renameAndInsert(u)
-				return
-			}
-		}
 		h.attachedOps++
 		last := h.attachedOps >= h.expectOps-1
 		c.sch.AttachOp(h.entry, u.schedOpInfo(c.loadAssumed()), specs, last)
@@ -84,6 +66,32 @@ func (c *Core) renameAndInsert(u *uop) {
 		c.pendingHeads = append(c.pendingHeads, u)
 	}
 	c.finishRename(u)
+}
+
+// joinsHead reports whether u, about to insert, joins its claimed head's
+// pending entry. Chain links beyond a pair need a transitive cycle check:
+// one of u's producers may itself (transitively) wait on the merged entry,
+// which would deadlock. The pair case is already covered by detection's
+// conservative heuristic. A refused link demotes the head, and u then
+// needs an issue queue entry of its own like any other uop, so insert
+// runs this check before its queue-space test.
+func (c *Core) joinsHead(u *uop) bool {
+	h := u.claimedBy
+	if h == nil || h.entry == nil || !h.entry.PendingTail() {
+		return false
+	}
+	if h.expectOps > 2 {
+		specs, _ := c.srcSpecs(u, h.entry)
+		for _, sp := range specs {
+			if sp.Prod != nil && c.sch.DependsOn(sp.Prod, h.entry) {
+				c.demote(h) // unclaims u
+				c.removePendingHead(h)
+				c.cnt.formCycleAborts++
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // finishRename records the store-data producer and updates the rename

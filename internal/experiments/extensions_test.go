@@ -8,6 +8,7 @@ import (
 func TestMOPSizeExtension(t *testing.T) {
 	r := NewRunner(4000)
 	r.Benchmarks = []string{"gap"}
+	r.Check = true
 	tab, err := r.MOPSize()
 	if err != nil {
 		t.Fatal(err)

@@ -475,12 +475,16 @@ func TestRandomDAGInvariants(t *testing.T) {
 				cfg.IQEntries = 16
 				s := newSched(cfg)
 				var entries []*Entry
+				var prods [][]*Entry // prods[i]: entry i's producers
 				inFlight := 0
 				insertOne := func() {
 					var sp []SrcSpec
+					var ps []*Entry
 					for k := 0; k < 2 && len(entries) > 0; k++ {
 						if r.Bool(0.6) {
-							sp = append(sp, SrcSpec{Prod: entries[r.Intn(len(entries))]})
+							p := entries[r.Intn(len(entries))]
+							sp = append(sp, SrcSpec{Prod: p})
+							ps = append(ps, p)
 						}
 					}
 					var e *Entry
@@ -490,6 +494,7 @@ func TestRandomDAGInvariants(t *testing.T) {
 						e = s.Insert(OpInfo{FU: isa.ClassIntALU, Latency: 1}, sp, false)
 					}
 					entries = append(entries, e)
+					prods = append(prods, ps)
 					inFlight++
 				}
 				total := 60 + r.Intn(60)
@@ -525,6 +530,14 @@ func TestRandomDAGInvariants(t *testing.T) {
 				for i, e := range entries {
 					if !e.Final() {
 						t.Fatalf("trial %d %v: entry %d never finalized", trial, model, i)
+					}
+				}
+				for i, e := range entries {
+					for _, p := range prods[i] {
+						if e.Grant() < p.ActualReady(0) {
+							t.Fatalf("trial %d %v: entry %d's final grant %d precedes its operand, ready at %d",
+								trial, model, i, e.Grant(), p.ActualReady(0))
+						}
 					}
 				}
 			}
