@@ -227,22 +227,12 @@ func (m Machine) Validate() error {
 	case m.MOP.DetectionDelay < 0 || m.MOP.ExtraFormationStages < 0:
 		return fmt.Errorf("config: negative MOP latencies")
 	}
-	// Every issuable class needs a unit: a workload instruction of a
-	// class with none would wait in the queue forever, and the run would
-	// end only as a watchdog "deadlock".
-	units := []struct {
-		name string
-		n    int
-	}{
-		{"integer ALU", m.IntALUs},
-		{"integer multiplier", m.IntMuls},
-		{"FP ALU", m.FPALUs},
-		{"FP multiplier", m.FPMuls},
-		{"memory port", m.MemPorts},
-	}
-	for _, u := range units {
-		if u.n <= 0 {
-			return fmt.Errorf("config: need at least one %s (got %d)", u.name, u.n)
+	// Every issuable class needs a unit: an instruction of a class with
+	// none would wait in the queue forever, and the run would end only as
+	// a watchdog "deadlock". Names are in FUCount's class order.
+	for c, name := range []string{"integer ALU", "integer multiplier", "FP ALU", "FP multiplier", "memory port"} {
+		if n := m.FUCount(c); n <= 0 {
+			return fmt.Errorf("config: need at least one %s (got %d)", name, n)
 		}
 	}
 	for _, c := range []cache.Config{m.Mem.IL1, m.Mem.DL1, m.Mem.L2} {

@@ -90,10 +90,6 @@ func reachableEntries(c *Core) int {
 		if len(queueE) > 0 {
 			e := queueE[0]
 			queueE = queueE[1:]
-			refs, _ := e.DebugRefs()
-			for _, r := range refs {
-				addE(r)
-			}
 			if h, ok := e.UserData.(*uop); ok {
 				addU(h)
 			}

@@ -11,7 +11,7 @@ import (
 // benchDrain releases every finalized entry in fifo order and returns the
 // still-live tail, keeping the simulated window (and the free list)
 // bounded while a benchmark inserts indefinitely.
-func benchDrain(s *Scheduler, live []*Entry) []*Entry {
+func benchDrain(s *BitScheduler, live []*Entry) []*Entry {
 	n := 0
 	for _, e := range live {
 		if e.Final() {
@@ -28,7 +28,7 @@ func benchDrain(s *Scheduler, live []*Entry) []*Entry {
 // translation, wakeup registration) on a warm free list: a rolling window
 // of dependent ALU entries is inserted, ticked, and released.
 func BenchmarkInsert(b *testing.B) {
-	s := New(testCfg(config.SchedTwoCycle))
+	s := NewBit(testCfg(config.SchedTwoCycle))
 	var live []*Entry
 	var prev *Entry
 	cyc := int64(0)
@@ -53,7 +53,7 @@ func BenchmarkInsert(b *testing.B) {
 // consumer group, driven to finality each round.
 func BenchmarkWakeup(b *testing.B) {
 	const fanout = 16
-	s := New(testCfg(config.SchedTwoCycle))
+	s := NewBit(testCfg(config.SchedTwoCycle))
 	cyc := int64(0)
 	var live []*Entry
 	b.ReportAllocs()
@@ -73,13 +73,12 @@ func BenchmarkWakeup(b *testing.B) {
 	}
 }
 
-// benchKernelChain measures one kernel draining serial dependence chains
+// benchKernelChain measures the kernel draining serial dependence chains
 // of length win through an unrestricted queue: all win entries are
-// inserted at once, then ticked to finality. The entry-linked kernel
-// re-derives readiness for every live entry every cycle (O(win) per
-// tick, O(win^2) per chain); the bit kernel only touches entries whose
-// state changes, so the gap between the two grows with the window.
-func benchKernelChain(b *testing.B, s Engine, win int) {
+// inserted at once, then ticked to finality. Readiness is event-driven,
+// so a tick touches only the entries whose state changes, and the cost
+// per uop should stay nearly flat as the window grows.
+func benchKernelChain(b *testing.B, s *BitScheduler, win int) {
 	cyc := int64(0)
 	ents := make([]*Entry, 0, win)
 	srcs := make([]SrcSpec, 1)
@@ -108,19 +107,15 @@ func benchKernelChain(b *testing.B, s Engine, win int) {
 	b.ReportMetric(float64(b.N)*float64(win)/b.Elapsed().Seconds()/1e6, "Muops/s")
 }
 
-// BenchmarkKernelWindow compares the two kernels' tick cost as the live
-// window grows; the uops/sec ratio at each size is the kernel-level
-// speedup headline quoted in DESIGN.md section 12.
+// BenchmarkKernelWindow measures the kernel's tick cost as the live
+// window grows (DESIGN.md section 12).
 func BenchmarkKernelWindow(b *testing.B) {
 	for _, win := range []int{32, 128, 512, 2048} {
 		cfg := Config{Model: config.SchedBase, Width: 4, IQEntries: 0, ReplayPenalty: 2, Window: win}
 		for c := range cfg.FU {
 			cfg.FU[c] = 4
 		}
-		b.Run(fmt.Sprintf("entry/win%d", win), func(b *testing.B) {
-			benchKernelChain(b, New(cfg), win)
-		})
-		b.Run(fmt.Sprintf("bitset/win%d", win), func(b *testing.B) {
+		b.Run(fmt.Sprintf("win%d", win), func(b *testing.B) {
 			benchKernelChain(b, NewBit(cfg), win)
 		})
 	}
@@ -130,7 +125,7 @@ func BenchmarkKernelWindow(b *testing.B) {
 // kept at steady occupancy, isolating the wakeup/select loop from the
 // core's fetch and rename stages.
 func BenchmarkCycleLoopSched(b *testing.B) {
-	s := New(testCfg(config.SchedTwoCycle))
+	s := NewBit(testCfg(config.SchedTwoCycle))
 	var live []*Entry
 	var prev *Entry
 	cyc := int64(0)

@@ -10,9 +10,8 @@ import (
 	"macroop/internal/simerr"
 )
 
-// This file implements the bit-parallel structure-of-arrays scheduler
-// kernel, the one the core runs. It is a cycle-exact re-implementation of
-// the entry-linked reference kernel in sched.go with the data layout the
+// This file implements the scheduler kernel the core runs: a bit-parallel
+// structure-of-arrays wakeup/select engine with the data layout the
 // paper's hardware actually has:
 //
 //   - issue queue entries live in parallel arrays indexed by a slot on a
@@ -31,13 +30,10 @@ import (
 //     bitmap triggered by grants, last-operand finality, and load
 //     resolution, instead of re-scanning every active entry every cycle.
 //
-// Both kernels share the Entry handle (identity, refcounts, ops, grant
-// and result times stay on the struct, surviving slot recycling for the
-// core's post-commit reads); the per-edge scheduling state (producers,
-// assumed latencies, wake/actual times) lives only in the slot arrays.
-// TestKernelLockstep (differential_test.go) drives both kernels with the
-// same random call scripts and requires identical grant streams, stats
-// and entry states every cycle.
+// The Entry handle keeps identity, refcounts, ops, grant and result
+// times, which survive slot recycling for the core's post-commit reads;
+// the per-edge scheduling state (producers, assumed latencies, wake and
+// actual times) lives only in the slot arrays.
 
 // edgeStride is the per-slot capacity of the edge arrays: a full MOP
 // chain of MaxMOPOps ops with two sources each.
@@ -272,8 +268,10 @@ func (k *BitScheduler) selectFree() bool { return modelSelectFree(k.cfg.Model) }
 
 func (k *BitScheduler) startPos() int { return int(k.oldestAge & int64(k.n-1)) }
 
-// Insert creates a new entry with one op and the given sources; see
-// Scheduler.Insert.
+// Insert creates a new entry with one op and the given sources and adds it
+// to the queue at the current cycle. If pendingTail is set the entry is a
+// MOP head whose tail will arrive via AttachTail (or be cancelled via
+// CancelTail).
 func (k *BitScheduler) Insert(op OpInfo, srcs []SrcSpec, pendingTail bool) *Entry {
 	e := k.allocEntry()
 	e.id = k.nextID
@@ -284,7 +282,6 @@ func (k *BitScheduler) Insert(op OpInfo, srcs []SrcSpec, pendingTail bool) *Entr
 	e.state = StateWaiting
 	e.grant = -1
 	e.earliestSelect = k.now + 1
-	e.everRequested = false
 	e.firstReq = -1
 	e.replays = 0
 	e.refs = 1 // the inserted op's own reference, dropped at its commit
@@ -322,13 +319,18 @@ func (k *BitScheduler) Insert(op OpInfo, srcs []SrcSpec, pendingTail bool) *Entr
 	return e
 }
 
-// AttachTail completes a two-instruction MOP; see Scheduler.AttachTail.
+// AttachTail completes a two-instruction MOP: the tail op and its extra
+// sources join the head's entry and the pending bit clears. Sources
+// already satisfied inside the MOP (tail depending on head) must not be
+// passed here.
 func (k *BitScheduler) AttachTail(e *Entry, op OpInfo, srcs []SrcSpec) {
 	k.AttachOp(e, op, srcs, true)
 }
 
-// AttachOp appends one more op to a pending MOP entry; see
-// Scheduler.AttachOp.
+// AttachOp appends one more original instruction to a pending MOP entry
+// (the chained-MOP extension sequences up to MaxMOPOps instructions
+// through one entry). When last is true the pending bit clears and the
+// MOP becomes schedulable.
 func (k *BitScheduler) AttachOp(e *Entry, op OpInfo, srcs []SrcSpec, last bool) {
 	if !e.pendingTail {
 		panic(simerr.Internalf(simerr.Context{Cycle: k.now}, "sched: AttachOp on non-pending entry %d", e.id))
@@ -354,12 +356,16 @@ func (k *BitScheduler) AttachOp(e *Entry, op OpInfo, srcs []SrcSpec, last bool) 
 	k.refreshReady(e)
 }
 
-// CancelTail demotes a pending MOP head; see Scheduler.CancelTail.
+// CancelTail demotes a pending MOP head to an ordinary single-instruction
+// entry (insertion-policy miss or squashed tail, Sections 5.2.3/5.3.2).
 func (k *BitScheduler) CancelTail(e *Entry) {
 	e.pendingTail = false
 	k.refreshReady(e)
 }
 
+// allocEntry pops the free list, or allocates when the pool is empty
+// (cold start); Insert resets every field a reader can reach. Pooling
+// keeps the steady-state cycle loop allocation-free.
 func (k *BitScheduler) allocEntry() *Entry {
 	if n := len(k.free); n > 0 {
 		e := k.free[n-1]
@@ -370,7 +376,15 @@ func (k *BitScheduler) allocEntry() *Entry {
 	return &Entry{}
 }
 
-// Release drops one reference; see Scheduler.Release.
+// Release drops one reference taken by Insert, AttachOp, or Entry.Retain.
+// When the last reference to a final entry drops, the entry is recycled
+// onto the free list: its generation bumps, invalidating any deferred
+// events still keyed to this life. Its slot was already freed at
+// finality, so no stale consumer can receive a wakeup from it.
+//
+// A released-to-zero entry must be final: every reference is held either
+// by a member op (which commits only after finality) or by a rename-time
+// producer record whose holders also outlive the producer's finality.
 func (k *BitScheduler) Release(e *Entry) {
 	e.refs--
 	if e.refs > 0 {
@@ -388,9 +402,11 @@ func (k *BitScheduler) Release(e *Entry) {
 // DebugFreeCount reports the free-list size (tests only).
 func (k *BitScheduler) DebugFreeCount() int { return len(k.free) }
 
-// addSources appends edges to e's slot, mirroring Scheduler.addSources:
-// the same initial wake/actual per producer state, and registration in
-// the producer's consumer mask instead of a consumer list.
+// addSources appends source edges to e's slot. The initial wake and
+// actual times follow the producer's state: none or final (the edge is
+// final from the start), issued (woken from its grant), or waiting (woken
+// later by its grant). An edge to a live producer registers in that
+// producer's consumer mask.
 func (k *BitScheduler) addSources(e *Entry, srcs []SrcSpec) {
 	s := e.slot
 	base := s * edgeStride
@@ -487,9 +503,12 @@ func (k *BitScheduler) setCand(s int) {
 	bitSet(k.cand, s)
 }
 
-// SetLoadResult informs the scheduler of a load op's actual timing; see
-// Scheduler.SetLoadResult. Additionally schedules the finality re-check
-// the reference kernel gets for free from its every-cycle scan.
+// SetLoadResult informs the scheduler of a load op's actual data
+// availability and the cycle at which a mismatch with the assumed hit
+// latency becomes known (address generated, cache probed). Call after
+// each grant of a load op. A late result schedules the miss fixup at
+// discovery, and the entry's finality is re-checked once discovery has
+// passed.
 func (k *BitScheduler) SetLoadResult(e *Entry, opIdx int, actualReady, discover int64) {
 	e.actualReady[opIdx] = actualReady
 	e.loadDiscover[opIdx] = discover
@@ -510,10 +529,12 @@ func (k *BitScheduler) SetLoadResult(e *Entry, opIdx int, actualReady, discover 
 	}
 }
 
-// Tick advances one cycle; see Scheduler.Tick. Phase order matches the
-// reference kernel exactly: future MOP grants, deferred events, wakeup
-// (select-free speculative broadcast), select, collision victims,
-// finality settling.
+// Tick advances one cycle: applies deferred replay and squash events,
+// performs wakeup and select per the model, and returns the ops granted
+// this cycle in issue order. The phases run in this order: future MOP
+// grants, deferred events, wakeup (select-free speculative broadcast),
+// select, collision victims, finality settling. The returned slice is
+// scratch owned by the scheduler: it is valid until the next Tick call.
 func (k *BitScheduler) Tick(now int64) []Grant {
 	k.now = now
 
@@ -568,10 +589,10 @@ func (k *BitScheduler) Tick(now int64) []Grant {
 		}
 	}
 
-	// Snapshot the request vector: the reference kernel collects its
-	// requester list before any broadcast of this cycle, so mid-select
-	// wake updates must not change who requests this cycle. The OR fold
-	// rides along so a requester-free cycle skips the scan phases.
+	// Snapshot the request vector: the requesters are fixed before any
+	// broadcast of this cycle, so mid-select wake updates must not change
+	// who requests this cycle. The OR fold rides along so a
+	// requester-free cycle skips the scan phases.
 	var reqAny uint64
 	for i, w := range k.ready {
 		k.snap[i] = w
@@ -644,7 +665,8 @@ func (k *BitScheduler) Tick(now int64) []Grant {
 	return grants
 }
 
-// mopResourcesFree mirrors Scheduler.mopResourcesFree.
+// mopResourcesFree reports whether the issue slots and functional units a
+// MOP's later ops will occupy in upcoming cycles are still available.
 func (k *BitScheduler) mopResourcesFree(e *Entry, now int64) bool {
 	for i := 1; i < e.numOps; i++ {
 		cyc := now + int64(i)
@@ -662,7 +684,6 @@ func (k *BitScheduler) mopResourcesFree(e *Entry, now int64) bool {
 func (k *BitScheduler) grantEntry(e *Entry, now int64, grants *[]Grant) {
 	e.state = StateIssued
 	e.grant = now
-	e.everRequested = true
 	k.stats.Grants++
 	*grants = append(*grants, Grant{Entry: e, OpIdx: 0, Cycle: now})
 	bitClear(k.ready, e.slot)
@@ -702,8 +723,7 @@ func (k *BitScheduler) grantEntry(e *Entry, now int64, grants *[]Grant) {
 // against one producer slot, in consumer age-ring word order. It is a
 // stack-allocated iterator (no closures) so broadcasts stay
 // allocation-free; consumer-order independence of all broadcast effects
-// is what makes word order (vs the reference kernel's registration
-// order) safe.
+// is what makes word order (rather than registration order) safe.
 type consEdges struct {
 	k        *BitScheduler
 	prodSlot int32
@@ -812,7 +832,9 @@ func (k *BitScheduler) broadcastSpeculative(e *Entry) {
 }
 
 // squashDependents clears the speculative wakeups of a collision
-// victim's consumers; see Scheduler.squashDependents.
+// victim's consumers (squash-dep: detected in the select stage, so none
+// of them has issued yet). They re-wake from the victim's eventual grant,
+// one cycle late (re-broadcast).
 func (k *BitScheduler) squashDependents(e *Entry) {
 	it := k.consumers(e.slot)
 	for {
@@ -854,7 +876,10 @@ func (k *BitScheduler) rebroadcast(e *Entry) {
 	}
 }
 
-// scoreboardCheck mirrors Scheduler.scoreboardCheck.
+// scoreboardCheck verifies an issued select-free entry's operands were
+// actually ready at issue; otherwise it becomes a pileup victim: it is
+// invalidated, reissues later, and its own speculative wakeups stand
+// until their consumers fail their own checks (the pileup cascade).
 func (k *BitScheduler) scoreboardCheck(e *Entry) {
 	if e.state != StateIssued {
 		return
@@ -865,7 +890,8 @@ func (k *BitScheduler) scoreboardCheck(e *Entry) {
 	k.stats.PileupVict++
 	k.invalidate(e, k.now)
 	// Re-arm the operand ready state: the replayed instruction waits for
-	// real broadcasts instead of its stale speculative wakeups.
+	// real broadcasts instead of its stale speculative wakeups (otherwise
+	// it would spin reissuing against a still-unready producer).
 	base := e.slot * edgeStride
 	for i := 0; i < int(k.nsrc[e.slot]); i++ {
 		ei := base + i
@@ -887,11 +913,17 @@ func (k *BitScheduler) scoreboardCheck(e *Entry) {
 	k.refreshReady(e)
 }
 
-// OperandsValid mirrors Scheduler.OperandsValid.
+// OperandsValid reports whether every source operand of e was actually
+// available at its grant cycle — i.e. whether this issue will stand. The
+// core uses it to decide whether a load's address is really computable
+// yet (an invalidly issued load must not probe the cache: that would be
+// an illegal prefetch with data it cannot have).
 func (k *BitScheduler) OperandsValid(e *Entry) bool {
 	return e.state == StateIssued && k.operandsValidAt(e, e.grant)
 }
 
+// operandsValidAt reports whether every source operand of e was actually
+// available at cycle g.
 func (k *BitScheduler) operandsValidAt(e *Entry, g int64) bool {
 	if k.ent[e.slot] != e {
 		// No live slot: the entry settled, so its operands were valid.
@@ -920,7 +952,10 @@ func (k *BitScheduler) operandsValidAt(e *Entry, g int64) bool {
 	return true
 }
 
-// fixupLoadMiss mirrors Scheduler.fixupLoadMiss.
+// fixupLoadMiss handles a discovered load miss: consumers woken with the
+// assumed hit latency are re-pointed at the actual data-return cycle, and
+// any that already issued inside the shadow are selectively invalidated
+// and replayed (transitively).
 func (k *BitScheduler) fixupLoadMiss(e *Entry) {
 	if k.ent[e.slot] != e {
 		return // settled before discovery: consumers were severed
@@ -945,7 +980,10 @@ func (k *BitScheduler) fixupLoadMiss(e *Entry) {
 	}
 }
 
-// invalidate mirrors Scheduler.invalidate.
+// invalidate replays an issued entry: it returns to waiting, may not be
+// selected again until now+ReplayPenalty, and anything it woke (or that
+// issued off its rescinded grant) is recursively fixed. A replay count
+// above the limit latches a livelock error for Err.
 func (k *BitScheduler) invalidate(e *Entry, now int64) {
 	if e.state != StateIssued {
 		return
@@ -1054,8 +1092,10 @@ func (k *BitScheduler) settleFinal(now int64) {
 	}
 }
 
-// tryFinalizeSlot mirrors Scheduler.tryFinalize, then releases the slot:
-// masks cleared, consumer edges severed, occupancy dropped.
+// tryFinalizeSlot settles e once its scheduling can no longer change:
+// issued, every operand final and valid, loads resolved and past their
+// miss shadow. A final entry pins its consumers' edges and releases its
+// slot: masks cleared, consumer edges severed, occupancy dropped.
 func (k *BitScheduler) tryFinalizeSlot(e *Entry, now int64) bool {
 	if e.state != StateIssued {
 		return false
@@ -1145,8 +1185,12 @@ func (k *BitScheduler) freeSlot(s int) {
 	}
 }
 
-// DependsOn mirrors Entry.DependsOn over the slot graph: whether e
-// transitively depends on target through unresolved source edges.
+// DependsOn reports whether e transitively depends on target through
+// unresolved source edges. MOP formation uses it to refuse chain links
+// that would close a dependence cycle through the merged entry (the
+// paper's pair heuristic is sound for pairs, but chained MOPs need the
+// transitive check). The search is bounded by the live window, since
+// final edges are severed.
 func (k *BitScheduler) DependsOn(e, target *Entry) bool {
 	if e == target {
 		return true

@@ -1,50 +1,16 @@
 package sched
 
 import (
-	"macroop/internal/isa"
-
 	"testing"
 
 	"macroop/internal/config"
 )
 
-// Generation-guard and recycling tests for the bit kernel, ported from
-// pool_test.go: entry structs are shared between kernels, but the bit
-// kernel adds slot reuse (the age ring) and a fourth deferred-event ring
-// (readiness re-checks) that must all be immune to stale state from a
-// previous life.
-
-func aluB(k *BitScheduler, srcs ...*Entry) *Entry {
-	var sp []SrcSpec
-	for _, p := range srcs {
-		sp = append(sp, SrcSpec{Prod: p})
-	}
-	return k.Insert(OpInfo{FU: isa.ClassIntALU, Latency: 1}, sp, false)
-}
-
-func loadB(k *BitScheduler, srcs ...*Entry) *Entry {
-	var sp []SrcSpec
-	for _, p := range srcs {
-		sp = append(sp, SrcSpec{Prod: p})
-	}
-	return k.Insert(OpInfo{FU: isa.ClassMem, Latency: 3, IsLoad: true}, sp, false)
-}
-
-func finalizeB(t *testing.T, k *BitScheduler, from, maxCycle int64, e *Entry, onGrant func(Grant)) int64 {
-	t.Helper()
-	for c := from; c <= maxCycle; c++ {
-		for _, g := range k.Tick(c) {
-			if onGrant != nil {
-				onGrant(g)
-			}
-		}
-		if e.Final() {
-			return c + 1
-		}
-	}
-	t.Fatalf("entry %d not final by cycle %d (state %v)", e.ID(), maxCycle, e.GetState())
-	return 0
-}
+// Generation-guard and recycling tests: an Entry struct is pooled through
+// the free list and its slot is reused on the age ring, and all four
+// deferred-event rings (load-miss discovery, scoreboard check, readiness
+// and finality re-checks) must be immune to stale state from a previous
+// life.
 
 // consRowEmpty reports whether producer slot s has an all-zero consumer
 // mask row.
@@ -57,20 +23,21 @@ func consRowEmpty(k *BitScheduler, s int) bool {
 	return true
 }
 
-// TestBitEntryRecycleNoStaleWakeups mirrors TestEntryRecycleNoStaleWakeups
-// on the bit kernel: a released struct reused as a new instruction must
+// TestBitEntryRecycleNoStaleWakeups is the free-list counterpart of the
+// core's leak tests: a released struct reused as a new instruction must
 // start with a fresh identity, a bumped generation, and clean slot state
-// — and granting its new life must wake only new-life consumers.
+// — and granting its new life must wake only new-life consumers, never a
+// consumer registered against the struct's previous life.
 func TestBitEntryRecycleNoStaleWakeups(t *testing.T) {
 	k := NewBit(testCfg(config.SchedBase))
 
 	// Previous life: P produces for C; C also waits on a slow load Q, so C
 	// is still live (waiting) when P is released.
-	q := loadB(k)
-	p := aluB(k)
-	c := aluB(k, p, q)
+	q := load(k)
+	p := alu(k)
+	c := alu(k, p, q)
 	pSlot := p.slot
-	now := finalizeB(t, k, 1, 50, p, func(g Grant) {
+	now := finalize(t, k, 1, 50, p, func(g Grant) {
 		if g.Entry == q {
 			// Long DL1 miss: Q's data arrives at cycle 30.
 			k.SetLoadResult(q, 0, 30, g.Cycle+4)
@@ -90,7 +57,7 @@ func TestBitEntryRecycleNoStaleWakeups(t *testing.T) {
 	}
 
 	// New life: the recycled struct returns as P2 with a consumer D.
-	p2 := aluB(k)
+	p2 := alu(k)
 	if p2 != p {
 		t.Fatalf("expected the free list to hand back the released struct")
 	}
@@ -107,7 +74,7 @@ func TestBitEntryRecycleNoStaleWakeups(t *testing.T) {
 		t.Fatalf("recycled entry's slot %d starts dirty: nsrc=%d open=%d",
 			p2.slot, k.nsrc[p2.slot], k.open[p2.slot])
 	}
-	d := aluB(k, p2)
+	d := alu(k, p2)
 
 	granted := map[*Entry]int64{}
 	for cyc := now; cyc <= 60; cyc++ {
@@ -141,8 +108,8 @@ func TestBitEntryRecycleNoStaleWakeups(t *testing.T) {
 // next life after the struct is recycled.
 func TestBitDeferredEventGenGuard(t *testing.T) {
 	k := NewBit(testCfg(config.SchedSelectFreeScoreboard))
-	p := aluB(k)
-	finalizeB(t, k, 1, 20, p, nil)
+	p := alu(k)
+	finalize(t, k, 1, 20, p, nil)
 
 	// Forge stale deferred events in every ring: scheduled against p's
 	// current life, firing at cycles 40..43, with p released (and
@@ -153,7 +120,7 @@ func TestBitDeferredEventGenGuard(t *testing.T) {
 	k.finalEvents.push(k.now, 43, p)
 	k.Release(p)
 
-	p2 := aluB(k)
+	p2 := alu(k)
 	if p2 != p {
 		t.Fatal("expected the free list to hand back the released struct")
 	}
@@ -174,17 +141,17 @@ func TestBitDeferredEventGenGuard(t *testing.T) {
 	}
 }
 
-// TestBitStaleSlotEventGuard covers the window the entry kernel does not
-// have: after finality the slot is freed while the struct (same
+// TestBitStaleSlotEventGuard covers the window the generation guard alone
+// does not: after finality the slot is freed while the struct (same
 // generation) is still held by the core. An event passing the generation
 // guard in that window must not touch the slot's next occupant.
 func TestBitStaleSlotEventGuard(t *testing.T) {
 	cfg := testCfg(config.SchedBase)
 	cfg.Window = 8 // small age ring so the freed slot recurs quickly
 	k := NewBit(cfg)
-	p := aluB(k)
+	p := alu(k)
 	slot := p.slot
-	now := finalizeB(t, k, 1, 20, p, nil)
+	now := finalize(t, k, 1, 20, p, nil)
 
 	// p is final and its slot freed, but not yet released: its gen is
 	// still current. Forge readiness and finality re-checks against it.
@@ -195,7 +162,7 @@ func TestBitStaleSlotEventGuard(t *testing.T) {
 	// is reused (the ring wraps within n inserts).
 	var usurper *Entry
 	for i := 0; i < k.n+1 && usurper == nil; i++ {
-		e := aluB(k)
+		e := alu(k)
 		if e.slot == slot {
 			usurper = e
 		}
@@ -215,13 +182,14 @@ func TestBitStaleSlotEventGuard(t *testing.T) {
 	k.Release(p)
 }
 
-// TestBitReleaseRefcounting mirrors TestReleaseRefcounting on the bit
-// kernel.
+// TestBitReleaseRefcounting: Retain defers recycling until every holder
+// lets go, and unbalanced releases of live entries panic rather than
+// corrupt the free list.
 func TestBitReleaseRefcounting(t *testing.T) {
 	k := NewBit(testCfg(config.SchedBase))
-	p := aluB(k)
+	p := alu(k)
 	p.Retain()
-	finalizeB(t, k, 1, 20, p, nil)
+	finalize(t, k, 1, 20, p, nil)
 
 	k.Release(p)
 	if k.DebugFreeCount() != 0 {
@@ -234,7 +202,7 @@ func TestBitReleaseRefcounting(t *testing.T) {
 
 	// Releasing a non-final entry to zero must panic (typed internal
 	// error), not silently recycle a live entry.
-	q := aluB(k)
+	q := alu(k)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("releasing a live entry to refcount zero did not panic")

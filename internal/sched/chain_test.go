@@ -8,13 +8,13 @@ import (
 	"macroop/internal/isa"
 )
 
-func chainIPC(t *testing.T, newSched func(Config) Engine, model config.SchedModel, n int) float64 {
+func chainIPC(t *testing.T, model config.SchedModel, n int) float64 {
 	t.Helper()
 	cfg := Config{Model: model, Width: 4, ReplayPenalty: 2}
 	for i := range cfg.FU {
 		cfg.FU[i] = 4
 	}
-	s := newSched(cfg)
+	s := NewBit(cfg)
 	var prev *Entry
 	for i := 0; i < n; i++ {
 		var srcs []SrcSpec
@@ -32,9 +32,7 @@ func chainIPC(t *testing.T, newSched func(Config) Engine, model config.SchedMode
 }
 
 func TestChainThroughput(t *testing.T) {
-	forEachKernel(t, func(t *testing.T, newSched func(Config) Engine) {
-		for _, m := range []config.SchedModel{config.SchedBase, config.SchedTwoCycle} {
-			fmt.Printf("%s %v: chain IPC = %.3f\n", t.Name(), m, chainIPC(t, newSched, m, 400))
-		}
-	})
+	for _, m := range []config.SchedModel{config.SchedBase, config.SchedTwoCycle} {
+		fmt.Printf("%s %v: chain IPC = %.3f\n", t.Name(), m, chainIPC(t, m, 400))
+	}
 }
