@@ -145,8 +145,10 @@ func (s *skipSource) Step(d *functional.DynInst) error {
 
 // TestChainedMOPRespectsQueueCapacity: a chain member whose link fails the
 // transitive cycle check is inserted on its own, and so must wait for a
-// free issue queue entry like any other instruction. Each cell here once
-// overflowed its queue by one entry within its first few thousand commits.
+// free issue queue entry like any other instruction. Each cell here
+// refuses chain links while its queue is full within its first few
+// thousand commits, so a member inserted without a free entry overflows
+// the queue and the checker's occupancy invariant fails the run.
 func TestChainedMOPRespectsQueueCapacity(t *testing.T) {
 	cells := []struct {
 		bench    string

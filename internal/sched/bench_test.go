@@ -76,8 +76,8 @@ func BenchmarkWakeup(b *testing.B) {
 // benchKernelChain measures the kernel draining serial dependence chains
 // of length win through an unrestricted queue: all win entries are
 // inserted at once, then ticked to finality. Readiness is event-driven,
-// so a tick touches only the entries whose state changes, and the cost
-// per uop should stay nearly flat as the window grows.
+// so a tick touches only the entries whose state changes, but its mask
+// scans still grow with the age ring's size.
 func benchKernelChain(b *testing.B, s *BitScheduler, win int) {
 	cyc := int64(0)
 	ents := make([]*Entry, 0, win)

@@ -506,9 +506,9 @@ func (k *BitScheduler) setCand(s int) {
 // SetLoadResult informs the scheduler of a load op's actual data
 // availability and the cycle at which a mismatch with the assumed hit
 // latency becomes known (address generated, cache probed). Call after
-// each grant of a load op. A late result schedules the miss fixup at
-// discovery, and the entry's finality is re-checked once discovery has
-// passed.
+// each grant of a load op. A late result schedules the miss fixup for
+// the discovery cycle, and the entry's finality is re-checked at that
+// cycle (at once if it has passed).
 func (k *BitScheduler) SetLoadResult(e *Entry, opIdx int, actualReady, discover int64) {
 	e.actualReady[opIdx] = actualReady
 	e.loadDiscover[opIdx] = discover

@@ -425,7 +425,6 @@ func TestRandomDAGInvariants(t *testing.T) {
 			s := NewBit(cfg)
 			var entries []*Entry
 			var prods [][]*Entry // prods[i]: entry i's producers
-			inFlight := 0
 			insertOne := func() {
 				var sp []SrcSpec
 				var ps []*Entry
@@ -444,7 +443,6 @@ func TestRandomDAGInvariants(t *testing.T) {
 				}
 				entries = append(entries, e)
 				prods = append(prods, ps)
-				inFlight++
 			}
 			total := 60 + r.Intn(60)
 			made := 0
