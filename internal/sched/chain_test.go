@@ -32,7 +32,9 @@ func chainIPC(t *testing.T, model config.SchedModel, n int) float64 {
 }
 
 func TestChainThroughput(t *testing.T) {
-	for _, m := range []config.SchedModel{config.SchedBase, config.SchedTwoCycle} {
-		fmt.Printf("%s %v: chain IPC = %.3f\n", t.Name(), m, chainIPC(t, m, 400))
-	}
+	onBitKernel(t, func(t *testing.T) {
+		for _, m := range []config.SchedModel{config.SchedBase, config.SchedTwoCycle} {
+			fmt.Printf("%s %v: chain IPC = %.3f\n", t.Name(), m, chainIPC(t, m, 400))
+		}
+	})
 }

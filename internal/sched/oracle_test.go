@@ -40,60 +40,62 @@ func oracleIssue(nodes []oracleNode, twoCycle bool) []int64 {
 // TestOracleAgreement cross-checks the wakeup/select engine against the
 // analytic oracle on random DAGs, with contention disabled (wide machine).
 func TestOracleAgreement(t *testing.T) {
-	r := rng.New(4242)
-	for trial := 0; trial < 40; trial++ {
-		n := 10 + r.Intn(40)
-		nodes := make([]oracleNode, n)
-		for i := range nodes {
-			lat := 1
-			switch r.Intn(6) {
-			case 0:
-				lat = 3 // MUL
-			case 1:
-				lat = 2 // FP add
-			}
-			nd := oracleNode{lat: lat}
-			for k := 0; k < 2; k++ {
-				if i > 0 && r.Bool(0.5) {
-					nd.deps = append(nd.deps, r.Intn(i))
-				}
-			}
-			nodes[i] = nd
-		}
-		for _, twoCycle := range []bool{false, true} {
-			model := config.SchedBase
-			if twoCycle {
-				model = config.SchedTwoCycle
-			}
-			cfg := Config{Model: model, Width: 64, ReplayPenalty: 2}
-			for i := range cfg.FU {
-				cfg.FU[i] = 64
-			}
-			s := NewBit(cfg)
-			entries := make([]*Entry, n)
-			for i, nd := range nodes {
-				var srcs []SrcSpec
-				for _, d := range nd.deps {
-					srcs = append(srcs, SrcSpec{Prod: entries[d]})
-				}
-				fu := isa.ClassIntALU
-				entries[i] = s.Insert(OpInfo{FU: fu, Latency: nd.lat}, srcs, false)
-			}
-			got := make([]int64, n)
-			for c := int64(1); c < 500; c++ {
-				for _, g := range s.Tick(c) {
-					got[indexOf(entries, g.Entry)] = g.Cycle
-				}
-			}
-			want := oracleIssue(nodes, twoCycle)
+	onBitKernel(t, func(t *testing.T) {
+		r := rng.New(4242)
+		for trial := 0; trial < 40; trial++ {
+			n := 10 + r.Intn(40)
+			nodes := make([]oracleNode, n)
 			for i := range nodes {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d %v node %d: issued at %d, oracle %d (lat %d deps %v)",
-						trial, model, i, got[i], want[i], nodes[i].lat, nodes[i].deps)
+				lat := 1
+				switch r.Intn(6) {
+				case 0:
+					lat = 3 // MUL
+				case 1:
+					lat = 2 // FP add
+				}
+				nd := oracleNode{lat: lat}
+				for k := 0; k < 2; k++ {
+					if i > 0 && r.Bool(0.5) {
+						nd.deps = append(nd.deps, r.Intn(i))
+					}
+				}
+				nodes[i] = nd
+			}
+			for _, twoCycle := range []bool{false, true} {
+				model := config.SchedBase
+				if twoCycle {
+					model = config.SchedTwoCycle
+				}
+				cfg := Config{Model: model, Width: 64, ReplayPenalty: 2}
+				for i := range cfg.FU {
+					cfg.FU[i] = 64
+				}
+				s := NewBit(cfg)
+				entries := make([]*Entry, n)
+				for i, nd := range nodes {
+					var srcs []SrcSpec
+					for _, d := range nd.deps {
+						srcs = append(srcs, SrcSpec{Prod: entries[d]})
+					}
+					fu := isa.ClassIntALU
+					entries[i] = s.Insert(OpInfo{FU: fu, Latency: nd.lat}, srcs, false)
+				}
+				got := make([]int64, n)
+				for c := int64(1); c < 500; c++ {
+					for _, g := range s.Tick(c) {
+						got[indexOf(entries, g.Entry)] = g.Cycle
+					}
+				}
+				want := oracleIssue(nodes, twoCycle)
+				for i := range nodes {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d %v node %d: issued at %d, oracle %d (lat %d deps %v)",
+							trial, model, i, got[i], want[i], nodes[i].lat, nodes[i].deps)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func indexOf(es []*Entry, e *Entry) int {
