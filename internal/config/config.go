@@ -78,7 +78,7 @@ type MOPConfig struct {
 	// 4-wide machine give the paper's 8-instruction scope.
 	ScopeGroups int
 	// MaxMOPSize is the number of instructions groupable into one MOP.
-	// The paper evaluates 2; larger values enable the "future work"
+	// The paper evaluates 2; 3 and 4 enable the "future work"
 	// chained-MOP extension (see internal/mop).
 	MaxMOPSize int
 	// ExtraFormationStages models extra pipeline depth for MOP formation
@@ -216,8 +216,8 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: fetch buffer smaller than machine width")
 	case m.ReplayPenalty < 0 || m.FrontLatency < 1 || m.ExecOffset < 0:
 		return fmt.Errorf("config: invalid pipeline latencies")
-	case m.MOP.MaxMOPSize < 2 || m.MOP.MaxMOPSize > 8:
-		return fmt.Errorf("config: MOP size must be between 2 and 8")
+	case m.MOP.MaxMOPSize < 2 || m.MOP.MaxMOPSize > 4:
+		return fmt.Errorf("config: MOP size must be between 2 and 4")
 	case m.MOP.MaxMOPSize > 2 && m.MOP.Wakeup != WakeupWiredOR:
 		return fmt.Errorf("config: chained MOPs (size > 2) require wired-OR wakeup (a 2-comparator CAM cannot track the source union)")
 	case m.MOP.ScopeGroups < 1:

@@ -340,7 +340,7 @@ func (c *Core) applyGrants(grants []sched.Grant) {
 				uo.memProbed = true
 				uo.memFillAt = g.Cycle + agen + int64(lat)
 			}
-			actual := maxI64(g.Cycle+agen+int64(c.loadAssumed()), uo.memFillAt)
+			actual := max(g.Cycle+agen+int64(c.loadAssumed()), uo.memFillAt)
 			discover := g.Cycle + int64(c.cfg.ExecOffset) + 1
 			c.sch.SetLoadResult(g.Entry, g.OpIdx, actual, discover)
 		}
@@ -368,7 +368,7 @@ func (c *Core) fetch() {
 		default:
 			return
 		}
-		resume := maxI64(resolve+1, b.fetchCycle+int64(c.cfg.MinBranchPenalty))
+		resume := max(resolve+1, b.fetchCycle+int64(c.cfg.MinBranchPenalty))
 		if c.cycle < resume {
 			return
 		}
@@ -650,7 +650,7 @@ func (c *Core) commitReadyAt(u *uop) int64 {
 	done := u.entry.ActualReady(u.opIdx) + int64(c.cfg.ExecOffset)
 	if u.isStore() && u.dataProd.entry != nil {
 		p := u.dataProd
-		done = maxI64(done, p.entry.ActualReady(p.opIdx)+int64(c.cfg.ExecOffset))
+		done = max(done, p.entry.ActualReady(p.opIdx)+int64(c.cfg.ExecOffset))
 	}
 	return done
 }
@@ -706,11 +706,4 @@ func (c *Core) retire(u *uop) {
 	u.entry = nil
 	// u.members stays: its backing array is embedded in the uop and is
 	// zeroed wholesale when the pool reuses it.
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

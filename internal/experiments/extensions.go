@@ -150,10 +150,3 @@ func (r *Runner) WidthSweep(bench string) (*stats.Table, error) {
 	}
 	return t, err
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

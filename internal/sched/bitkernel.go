@@ -39,12 +39,6 @@ import (
 // chain of MaxMOPOps ops with two sources each.
 const edgeStride = 2 * MaxMOPOps
 
-// Edge flag bits.
-const (
-	edgeFinal uint8 = 1 << iota
-	edgeDeaf
-)
-
 // BitScheduler is the bit-parallel wakeup/select engine.
 type BitScheduler struct {
 	cfg   Config
@@ -54,8 +48,10 @@ type BitScheduler struct {
 	nextID  int64
 	nextAge int64
 
-	// Age ring geometry: n slots (power of two, >= 64), words = n/64
-	// packed mask words.
+	// Age ring geometry: n slots (a power of two, at least 64 and at
+	// least Window), words = n/64 packed mask words. The live age span
+	// nextAge-oldestAge never exceeds n, so the ages in it have distinct
+	// slots.
 	n     int
 	words int
 
@@ -69,10 +65,12 @@ type BitScheduler struct {
 	ent []*Entry
 
 	// Per-slot source edges, stride edgeStride. eProd is the producer's
-	// slot (-1 once final/severed); eOp the producer op index; eAssumed
+	// slot, or -1 once the edge is final (its producer was final at
+	// insert, or settled since); eOp the producer op index; eAssumed
 	// the assumed latency; eWake/eActual the scheduler-visible and
-	// actual operand-ready cycles; eFlags the final/deaf bits. nsrc is
-	// the edge count, open the number of not-yet-final edges.
+	// actual operand-ready cycles; eDeaf marks an edge whose wakeups a
+	// fault dropped. nsrc is the edge count, open the number of
+	// not-yet-final edges.
 	nsrc     []int32
 	open     []int32
 	eProd    []int32
@@ -80,11 +78,11 @@ type BitScheduler struct {
 	eAssumed []int32
 	eWake    []int64
 	eActual  []int64
-	eFlags   []uint8
+	eDeaf    []bool
 
-	// Packed n-bit masks: live entries, ready requesters, finalize
-	// candidates, and the per-tick ready snapshot select works from.
-	live  []uint64
+	// Packed n-bit masks: ready requesters, finalize candidates, and the
+	// per-tick ready snapshot select works from. A slot is live iff ent
+	// holds an entry for it.
 	ready []uint64
 	cand  []uint64
 	snap  []uint64
@@ -109,13 +107,14 @@ type BitScheduler struct {
 
 	grantBuf []Grant
 
-	futureGrants grantRing
-	futureFU     fuRing
+	// futureGrants holds the grants of MOP ops sequenced after their
+	// head; they also hold their cycle's functional units (heldFU).
+	futureGrants cycleRing[Grant]
 
-	loadEvents  entryRing // load miss discoveries
-	sbEvents    entryRing // scoreboard detections of invalid issues
-	readyEvents entryRing // deferred readiness re-checks
-	finalEvents entryRing // deferred finality re-checks (load discovery)
+	loadEvents  cycleRing[entryRef] // load miss discoveries
+	sbEvents    cycleRing[entryRef] // scoreboard detections of invalid issues
+	readyEvents cycleRing[entryRef] // deferred readiness re-checks
+	finalEvents cycleRing[entryRef] // deferred finality re-checks (load discovery)
 
 	err error
 
@@ -134,119 +133,38 @@ func NewBit(cfg Config) *BitScheduler {
 	if cfg.ScoreboardDelay <= 0 {
 		cfg.ScoreboardDelay = 2
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 128
+	if cfg.Window <= 0 {
+		cfg.Window = 128
 	}
-	// Twice the live-window bound keeps slots collision-free with slack;
-	// Insert still grows the ring if a caller exceeds the hint.
 	n := 64
-	for n < 2*window {
+	for n < cfg.Window {
 		n *= 2
 	}
-	k := &BitScheduler{
+	w := n / 64
+	return &BitScheduler{
 		cfg:          cfg,
 		n:            n,
-		words:        n / 64,
-		loadEvents:   newEntryRing(),
-		sbEvents:     newEntryRing(),
-		readyEvents:  newEntryRing(),
-		finalEvents:  newEntryRing(),
-		futureGrants: newGrantRing(),
-		futureFU:     newFURing(),
-	}
-	k.allocArrays()
-	return k
-}
-
-func (k *BitScheduler) allocArrays() {
-	n, w := k.n, k.words
-	k.ent = make([]*Entry, n)
-	k.nsrc = make([]int32, n)
-	k.open = make([]int32, n)
-	k.eProd = make([]int32, n*edgeStride)
-	k.eOp = make([]int8, n*edgeStride)
-	k.eAssumed = make([]int32, n*edgeStride)
-	k.eWake = make([]int64, n*edgeStride)
-	k.eActual = make([]int64, n*edgeStride)
-	k.eFlags = make([]uint8, n*edgeStride)
-	k.live = make([]uint64, w)
-	k.ready = make([]uint64, w)
-	k.cand = make([]uint64, w)
-	k.snap = make([]uint64, w)
-	k.seen = make([]uint64, w)
-	k.cons = make([]uint64, n*w)
-	k.recheckAt = make([]int64, n)
-}
-
-// grow doubles the age ring and re-places every live entry at its new
-// slot (ages are unique, so slots stay unique). Rare: only reached when
-// a caller exceeds the Window hint.
-func (k *BitScheduler) grow() {
-	oldEnt := k.ent
-	oldN := k.n
-	oldNsrc := k.nsrc
-	oldOpen := k.open
-	oldProd := k.eProd
-	oldOp := k.eOp
-	oldAssumed := k.eAssumed
-	oldWake := k.eWake
-	oldActual := k.eActual
-	oldFlags := k.eFlags
-	oldReady := k.ready
-	oldCand := k.cand
-	oldRecheck := k.recheckAt
-
-	k.n = oldN * 2
-	k.words = k.n / 64
-	k.allocArrays()
-
-	mask := int64(k.n - 1)
-	for s := 0; s < oldN; s++ {
-		e := oldEnt[s]
-		if e == nil {
-			continue
-		}
-		ns := int(e.age & mask)
-		e.slot = ns
-		k.ent[ns] = e
-		bitSet(k.live, ns)
-		if bitTest(oldReady, s) {
-			bitSet(k.ready, ns)
-		}
-		if bitTest(oldCand, s) {
-			bitSet(k.cand, ns)
-		}
-		k.nsrc[ns] = oldNsrc[s]
-		k.open[ns] = oldOpen[s]
-		k.recheckAt[ns] = oldRecheck[s]
-		ob, nb := s*edgeStride, ns*edgeStride
-		cnt := int(oldNsrc[s])
-		copy(k.eProd[nb:nb+cnt], oldProd[ob:ob+cnt])
-		copy(k.eOp[nb:nb+cnt], oldOp[ob:ob+cnt])
-		copy(k.eAssumed[nb:nb+cnt], oldAssumed[ob:ob+cnt])
-		copy(k.eWake[nb:nb+cnt], oldWake[ob:ob+cnt])
-		copy(k.eActual[nb:nb+cnt], oldActual[ob:ob+cnt])
-		copy(k.eFlags[nb:nb+cnt], oldFlags[ob:ob+cnt])
-	}
-	// Remap edge producer slots and rebuild the consumer masks from the
-	// edges (old slot -> entry -> new slot).
-	for s := 0; s < oldN; s++ {
-		e := oldEnt[s]
-		if e == nil {
-			continue
-		}
-		ns := e.slot
-		base := ns * edgeStride
-		for i := 0; i < int(k.nsrc[ns]); i++ {
-			ei := base + i
-			if k.eFlags[ei]&edgeFinal != 0 {
-				continue
-			}
-			p := oldEnt[k.eProd[ei]]
-			k.eProd[ei] = int32(p.slot)
-			bitSet(k.cons[p.slot*k.words:(p.slot+1)*k.words], ns)
-		}
+		words:        w,
+		ent:          make([]*Entry, n),
+		nsrc:         make([]int32, n),
+		open:         make([]int32, n),
+		eProd:        make([]int32, n*edgeStride),
+		eOp:          make([]int8, n*edgeStride),
+		eAssumed:     make([]int32, n*edgeStride),
+		eWake:        make([]int64, n*edgeStride),
+		eActual:      make([]int64, n*edgeStride),
+		eDeaf:        make([]bool, n*edgeStride),
+		ready:        make([]uint64, w),
+		cand:         make([]uint64, w),
+		snap:         make([]uint64, w),
+		seen:         make([]uint64, w),
+		cons:         make([]uint64, n*w),
+		recheckAt:    make([]int64, n),
+		futureGrants: newCycleRing[Grant](),
+		loadEvents:   newCycleRing[entryRef](),
+		sbEvents:     newCycleRing[entryRef](),
+		readyEvents:  newCycleRing[entryRef](),
+		finalEvents:  newCycleRing[entryRef](),
 	}
 }
 
@@ -266,18 +184,28 @@ func (k *BitScheduler) HasSpace(n int) bool {
 
 func (k *BitScheduler) selectFree() bool { return modelSelectFree(k.cfg.Model) }
 
-func (k *BitScheduler) startPos() int { return int(k.oldestAge & int64(k.n-1)) }
+// slotOf maps an age onto the ring.
+func (k *BitScheduler) slotOf(age int64) int { return int(age & int64(k.n-1)) }
+
+func (k *BitScheduler) startPos() int { return k.slotOf(k.oldestAge) }
 
 // Insert creates a new entry with one op and the given sources and adds it
 // to the queue at the current cycle. If pendingTail is set the entry is a
 // MOP head whose tail will arrive via AttachTail (or be cancelled via
-// CancelTail).
+// CancelTail). An insert that would stretch the live age span past the
+// age ring (the caller broke its Window bound) panics with an internal
+// error.
 func (k *BitScheduler) Insert(op OpInfo, srcs []SrcSpec, pendingTail bool) *Entry {
+	s := k.slotOf(k.nextAge)
+	if k.ent[s] != nil {
+		panic(simerr.Internalf(simerr.Context{Cycle: k.now},
+			"sched: insert at age %d finds its slot held: live span of %d ages (oldest %d) exceeds Window %d (%d-slot age ring)",
+			k.nextAge, k.nextAge-k.oldestAge+1, k.oldestAge, k.cfg.Window, k.n))
+	}
 	e := k.allocEntry()
 	e.id = k.nextID
 	e.age = k.nextAge
 	e.numOps = 1
-	e.isMOP = false
 	e.pendingTail = pendingTail
 	e.state = StateWaiting
 	e.grant = -1
@@ -296,14 +224,8 @@ func (k *BitScheduler) Insert(op OpInfo, srcs []SrcSpec, pendingTail bool) *Entr
 	k.nextID++
 	k.nextAge++
 
-	s := int(e.age & int64(k.n-1))
-	for k.ent[s] != nil {
-		k.grow()
-		s = int(e.age & int64(k.n-1))
-	}
 	e.slot = s
 	k.ent[s] = e
-	bitSet(k.live, s)
 	k.nsrc[s] = 0
 	k.open[s] = 0
 	k.recheckAt[s] = 0
@@ -343,7 +265,6 @@ func (k *BitScheduler) AttachOp(e *Entry, op OpInfo, srcs []SrcSpec, last bool) 
 	e.loadDiscover[e.numOps] = 0
 	e.loadResolved[e.numOps] = false
 	e.numOps++
-	e.isMOP = true
 	e.refs++ // the attached op's reference, dropped at its commit
 	if last {
 		e.pendingTail = false
@@ -417,10 +338,9 @@ func (k *BitScheduler) addSources(e *Entry, srcs []SrcSpec) {
 		ei := base + int(k.nsrc[s])
 		k.nsrc[s]++
 		k.eOp[ei] = int8(sp.ProdOp)
-		k.eFlags[ei] = 0
+		k.eDeaf[ei] = false
 		p := sp.Prod
 		if p == nil {
-			k.eFlags[ei] = edgeFinal
 			k.eProd[ei] = -1
 			k.eAssumed[ei] = 0
 			k.eWake[ei] = 0
@@ -433,14 +353,13 @@ func (k *BitScheduler) addSources(e *Entry, srcs []SrcSpec) {
 		case p.state == StateFinal:
 			// Model timing still applies: a consumer may not see the tag
 			// earlier than the pipelined wakeup delivers it.
-			k.eFlags[ei] = edgeFinal
 			k.eProd[ei] = -1
 			k.eActual[ei] = p.actualReady[sp.ProdOp]
-			k.eWake[ei] = maxI64(wakeFromGrant(k.cfg.Model, p, assumed), k.eActual[ei])
+			k.eWake[ei] = max(wakeFromGrant(k.cfg.Model, p, p.grant, assumed), k.eActual[ei])
 		case p.state == StateIssued:
-			w := wakeFromGrant(k.cfg.Model, p, assumed)
+			w := wakeFromGrant(k.cfg.Model, p, p.grant, assumed)
 			if p.ops[sp.ProdOp].IsLoad && p.loadResolved[sp.ProdOp] {
-				w = maxI64(w, p.actualReady[sp.ProdOp])
+				w = max(w, p.actualReady[sp.ProdOp])
 			}
 			k.eWake[ei] = w
 			k.eActual[ei] = never
@@ -492,15 +411,9 @@ func (k *BitScheduler) refreshReady(e *Entry) {
 	if ra < never {
 		if p := k.recheckAt[s]; p == 0 || p > ra {
 			k.recheckAt[s] = ra
-			k.readyEvents.push(k.now, ra, e)
+			k.readyEvents.push(k.now, ra, refOf(e))
 		}
 	}
-}
-
-// setCand marks a slot for a finality re-check in this or the next
-// tick's settle phase.
-func (k *BitScheduler) setCand(s int) {
-	bitSet(k.cand, s)
 }
 
 // SetLoadResult informs the scheduler of a load op's actual data
@@ -514,18 +427,16 @@ func (k *BitScheduler) SetLoadResult(e *Entry, opIdx int, actualReady, discover 
 	e.loadDiscover[opIdx] = discover
 	e.loadResolved[opIdx] = true
 	assumedReady := e.grant + int64(e.ops[opIdx].Latency)
-	if e.isMOP {
+	if e.numOps > 1 {
 		panic(simerr.Internalf(simerr.Context{Cycle: k.now}, "sched: load in MOP entry %d", e.id))
 	}
 	if actualReady > assumedReady {
-		k.loadEvents.push(k.now, discover, e)
+		k.loadEvents.push(k.now, discover, refOf(e))
 	}
-	if discover <= k.now {
-		if k.ent[e.slot] == e {
-			k.setCand(e.slot)
-		}
-	} else {
-		k.finalEvents.push(k.now, discover, e)
+	if discover > k.now {
+		k.finalEvents.push(k.now, discover, refOf(e))
+	} else if k.ent[e.slot] == e {
+		bitSet(k.cand, e.slot) // settle in this or the next tick
 	}
 }
 
@@ -538,54 +449,38 @@ func (k *BitScheduler) SetLoadResult(e *Entry, opIdx int, actualReady, discover 
 func (k *BitScheduler) Tick(now int64) []Grant {
 	k.now = now
 
-	// MOP ops sequencing from earlier grants occupy slots first. The
-	// pending-count pre-checks keep the empty-ring common case (every
-	// cycle outside MOP bursts and miss recovery) free of slot probes
-	// and, for the FU vector, of a by-value array copy.
-	grants := k.grantBuf[:0]
-	if k.futureGrants.n > 0 {
-		grants = k.futureGrants.take(now, grants)
-	}
+	// MOP ops sequencing from earlier grants occupy their issue slots
+	// and units first.
+	fuUsed := k.heldFU(now)
+	grants := append(k.grantBuf[:0], k.futureGrants.take(now)...)
 	widthLeft := k.cfg.Width - len(grants)
-	var fuUsed [isa.NumClasses]int
-	if k.futureFU.n > 0 {
-		fuUsed = k.futureFU.take(now)
-	}
 
 	// Deferred readiness re-checks land first so the ready mask is
 	// current before this cycle's replay/scoreboard events adjust it.
-	if k.readyEvents.n > 0 {
-		for _, ev := range k.readyEvents.take(now) {
-			if ev.e.gen == ev.gen {
-				if s := ev.e.slot; k.ent[s] == ev.e && k.recheckAt[s] == now {
-					k.recheckAt[s] = 0 // the covering event is firing: re-arm
-				}
-				k.refreshReady(ev.e)
+	for _, ev := range k.readyEvents.take(now) {
+		if ev.e.gen == ev.gen {
+			if s := ev.e.slot; k.ent[s] == ev.e && k.recheckAt[s] == now {
+				k.recheckAt[s] = 0 // the covering event is firing: re-arm
 			}
+			k.refreshReady(ev.e)
 		}
 	}
 	// Load-miss discoveries: selectively invalidate shadow issues.
-	if k.loadEvents.n > 0 {
-		for _, ev := range k.loadEvents.take(now) {
-			if ev.e.gen == ev.gen {
-				k.fixupLoadMiss(ev.e)
-			}
+	for _, ev := range k.loadEvents.take(now) {
+		if ev.e.gen == ev.gen {
+			k.fixupLoadMiss(ev.e)
 		}
 	}
 	// Scoreboard detections of invalid select-free issues.
-	if k.sbEvents.n > 0 {
-		for _, ev := range k.sbEvents.take(now) {
-			if ev.e.gen == ev.gen {
-				k.scoreboardCheck(ev.e)
-			}
+	for _, ev := range k.sbEvents.take(now) {
+		if ev.e.gen == ev.gen {
+			k.scoreboardCheck(ev.e)
 		}
 	}
 	// Load discoveries enabling finality.
-	if k.finalEvents.n > 0 {
-		for _, ev := range k.finalEvents.take(now) {
-			if ev.e.gen == ev.gen && k.ent[ev.e.slot] == ev.e {
-				k.setCand(ev.e.slot)
-			}
+	for _, ev := range k.finalEvents.take(now) {
+		if ev.e.gen == ev.gen && k.ent[ev.e.slot] == ev.e {
+			bitSet(k.cand, ev.e.slot)
 		}
 	}
 
@@ -613,7 +508,7 @@ func (k *BitScheduler) Tick(now int64) []Grant {
 				e := k.ent[s]
 				if e.firstReq < 0 {
 					e.firstReq = now
-					k.broadcastSpeculative(e)
+					k.wakeConsumers(e, e.firstReq)
 				}
 			}
 		}
@@ -665,16 +560,25 @@ func (k *BitScheduler) Tick(now int64) []Grant {
 	return grants
 }
 
-// mopResourcesFree reports whether the issue slots and functional units a
-// MOP's later ops will occupy in upcoming cycles are still available.
+// heldFU tallies the functional units, by class, that the MOP op grants
+// queued for cyc hold: a MOP holds a unit in each cycle one of its later
+// ops issues in.
+func (k *BitScheduler) heldFU(cyc int64) (fu [isa.NumClasses]int) {
+	for _, g := range k.futureGrants.at(cyc) {
+		fu[g.Entry.ops[g.OpIdx].FU]++
+	}
+	return fu
+}
+
+// mopResourcesFree reports whether the functional units a MOP's later ops
+// will occupy in the cycles after its head issues are still free. Their
+// issue slots need no check: every grant queued for a later cycle belongs
+// to a MOP whose ops issue in consecutive cycles, so it also holds a slot
+// this cycle, and while select has a slot left no later cycle is full.
 func (k *BitScheduler) mopResourcesFree(e *Entry, now int64) bool {
 	for i := 1; i < e.numOps; i++ {
-		cyc := now + int64(i)
-		if k.futureGrants.count(cyc) >= k.cfg.Width {
-			return false
-		}
 		c := e.ops[i].FU
-		if c != isa.ClassNone && k.futureFU.get(cyc, c) >= k.cfg.FU[c] {
+		if c != isa.ClassNone && k.heldFU(now + int64(i))[c] >= k.cfg.FU[c] {
 			return false
 		}
 	}
@@ -696,14 +600,11 @@ func (k *BitScheduler) grantEntry(e *Entry, now int64, grants *[]Grant) {
 		// Sequence later ops in following cycles through the same slot.
 		cyc := now + int64(i)
 		k.futureGrants.push(now, cyc, Grant{Entry: e, OpIdx: i, Cycle: cyc})
-		if c := e.ops[i].FU; c != isa.ClassNone {
-			k.futureFU.add(now, cyc, c)
-		}
 		e.actualReady[i] = cyc + int64(e.ops[i].Latency)
 	}
 	// Conventional wakeup: broadcast from the grant.
 	if !k.selectFree() {
-		k.wakeConsumers(e)
+		k.wakeConsumers(e, now)
 	} else {
 		// A collision victim that is finally granted re-broadcasts.
 		if e.firstReq >= 0 && e.firstReq < now {
@@ -711,16 +612,17 @@ func (k *BitScheduler) grantEntry(e *Entry, now int64, grants *[]Grant) {
 		}
 		// Scoreboard mode checks operand validity a fixed delay later.
 		if k.cfg.Model == config.SchedSelectFreeScoreboard {
-			k.sbEvents.push(now, now+int64(k.cfg.ScoreboardDelay), e)
+			k.sbEvents.push(now, now+int64(k.cfg.ScoreboardDelay), refOf(e))
 		}
 	}
 	// An issued entry may already be finalizable (all operands final and
 	// valid, no unresolved loads): settle it this same tick.
-	k.setCand(e.slot)
+	bitSet(k.cand, e.slot)
 }
 
 // consEdges iterates the (consumer entry, edge index) pairs registered
-// against one producer slot, in consumer age-ring word order. It is a
+// against one producer slot, in consumer age-ring word order. The edges
+// it yields point at a live producer, so none is final. It is a
 // stack-allocated iterator (no closures) so broadcasts stay
 // allocation-free; consumer-order independence of all broadcast effects
 // is what makes word order (rather than registration order) safe.
@@ -763,16 +665,17 @@ func (it *consEdges) next() (*Entry, int, bool) {
 	}
 }
 
-// wakeConsumers sets consumer wake times from this entry's grant. This
-// is the conventional-wakeup broadcast on the per-grant hot path, so it
-// walks the consumer mask inline and re-derives each consumer's
-// readiness once after all of its matching edges are woken, not once per
-// edge: refreshReady computes from the edges' current state, so only the
+// wakeConsumers is the tag broadcast: it sets the wake time of each of
+// e's consumer edges from a broadcast at cycle g, which is e's grant under
+// the conventional models and its first request under the select-free
+// ones (speculative wakeup). This is the per-grant hot path, so it walks
+// the consumer mask inline and re-derives each consumer's readiness once
+// after all of its matching edges are woken, not once per edge:
+// refreshReady computes from the edges' current state, so only the
 // re-check event traffic differs (and those events are idempotent,
-// self-guarded no-ops). A matching edge (eProd == s) is never final —
-// severing and final insertion both set eProd to -1 — so only the deaf
-// flag needs consulting.
-func (k *BitScheduler) wakeConsumers(e *Entry) {
+// self-guarded no-ops). A matching edge (eProd == s) is never final, so
+// only the deaf flag needs consulting.
+func (k *BitScheduler) wakeConsumers(e *Entry, g int64) {
 	s := e.slot
 	ps := int32(s)
 	row := s * k.words
@@ -786,42 +689,10 @@ func (k *BitScheduler) wakeConsumers(e *Entry) {
 			touched := false
 			for i := 0; i < int(k.nsrc[cs]); i++ {
 				ei := base + i
-				if k.eProd[ei] != ps || k.eFlags[ei]&edgeDeaf != 0 {
+				if k.eProd[ei] != ps || k.eDeaf[ei] {
 					continue
 				}
-				k.eWake[ei] = wakeFromGrant(k.cfg.Model, e, int(k.eAssumed[ei]))
-				touched = true
-			}
-			if touched {
-				k.refreshReady(k.ent[cs])
-			}
-		}
-	}
-}
-
-// broadcastSpeculative wakes consumers at request time (select-free).
-// Same batched walk as wakeConsumers: one refreshReady per consumer
-// after all of its matching edges are updated, and no edgeFinal check
-// because a matching edge is never final.
-func (k *BitScheduler) broadcastSpeculative(e *Entry) {
-	s := e.slot
-	ps := int32(s)
-	row := s * k.words
-	wake := e.firstReq
-	for wi := 0; wi < k.words; wi++ {
-		m := k.cons[row+wi]
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &= m - 1
-			cs := wi<<6 + b
-			base := cs * edgeStride
-			touched := false
-			for i := 0; i < int(k.nsrc[cs]); i++ {
-				ei := base + i
-				if k.eProd[ei] != ps || k.eFlags[ei]&edgeDeaf != 0 {
-					continue
-				}
-				k.eWake[ei] = wake + int64(k.eAssumed[ei])
+				k.eWake[ei] = wakeFromGrant(k.cfg.Model, e, g, int(k.eAssumed[ei]))
 				touched = true
 			}
 			if touched {
@@ -842,9 +713,6 @@ func (k *BitScheduler) squashDependents(e *Entry) {
 		if !ok {
 			break
 		}
-		if k.eFlags[ei]&edgeFinal != 0 {
-			continue
-		}
 		k.eWake[ei] = never
 		k.refreshReady(c)
 	}
@@ -862,7 +730,7 @@ func (k *BitScheduler) rebroadcast(e *Entry) {
 		if !ok {
 			break
 		}
-		if k.eFlags[ei]&(edgeFinal|edgeDeaf) != 0 {
+		if k.eDeaf[ei] {
 			continue
 		}
 		w := e.grant + int64(k.eAssumed[ei]) + penalty
@@ -895,15 +763,15 @@ func (k *BitScheduler) scoreboardCheck(e *Entry) {
 	base := e.slot * edgeStride
 	for i := 0; i < int(k.nsrc[e.slot]); i++ {
 		ei := base + i
-		if k.eFlags[ei]&(edgeFinal|edgeDeaf) != 0 {
+		if k.eProd[ei] < 0 || k.eDeaf[ei] {
 			continue
 		}
 		p := k.ent[k.eProd[ei]]
 		switch p.state {
 		case StateIssued:
-			w := wakeFromGrant(k.cfg.Model, p, int(k.eAssumed[ei]))
+			w := wakeFromGrant(k.cfg.Model, p, p.grant, int(k.eAssumed[ei]))
 			if p.ops[k.eOp[ei]].IsLoad && p.loadResolved[k.eOp[ei]] {
-				w = maxI64(w, p.actualReady[k.eOp[ei]])
+				w = max(w, p.actualReady[k.eOp[ei]])
 			}
 			k.eWake[ei] = w
 		case StateWaiting:
@@ -932,7 +800,7 @@ func (k *BitScheduler) operandsValidAt(e *Entry, g int64) bool {
 	base := e.slot * edgeStride
 	for i := 0; i < int(k.nsrc[e.slot]); i++ {
 		ei := base + i
-		if k.eFlags[ei]&edgeFinal != 0 {
+		if k.eProd[ei] < 0 {
 			if k.eActual[ei] > g {
 				return false
 			}
@@ -967,7 +835,7 @@ func (k *BitScheduler) fixupLoadMiss(e *Entry) {
 		if !ok {
 			break
 		}
-		if k.eFlags[ei]&(edgeFinal|edgeDeaf) != 0 {
+		if k.eDeaf[ei] {
 			continue
 		}
 		if c.state == StateIssued && c.grant < actual {
@@ -1026,9 +894,6 @@ func (k *BitScheduler) invalidate(e *Entry, now int64) {
 			c, ei, ok := it.next()
 			if !ok {
 				break
-			}
-			if k.eFlags[ei]&edgeFinal != 0 {
-				continue
 			}
 			k.eWake[ei] = never
 			k.refreshReady(c)
@@ -1125,8 +990,8 @@ func (k *BitScheduler) tryFinalizeSlot(e *Entry, now int64) bool {
 	e.state = StateFinal
 	// Sever consumer edges: pin their wake/actual times, then clear the
 	// consumer mask and free the slot. A matching edge (eProd == s) is
-	// never already final (every final-setting site clears eProd to -1),
-	// so the producer match alone identifies the edges to sever.
+	// not yet final, so the producer match alone identifies the edges to
+	// sever.
 	ps := int32(s)
 	row := s * k.words
 	for wi := 0; wi < k.words; wi++ {
@@ -1143,11 +1008,10 @@ func (k *BitScheduler) tryFinalizeSlot(e *Entry, now int64) bool {
 				if k.eProd[ei] != ps {
 					continue
 				}
-				k.eFlags[ei] |= edgeFinal
 				k.eProd[ei] = -1
 				k.eActual[ei] = e.actualReady[k.eOp[ei]]
 				k.open[cs]--
-				if k.eFlags[ei]&edgeDeaf != 0 {
+				if k.eDeaf[ei] {
 					continue // dropped wakeup: the finality broadcast is lost too
 				}
 				if k.eWake[ei] < k.eActual[ei] {
@@ -1161,7 +1025,7 @@ func (k *BitScheduler) tryFinalizeSlot(e *Entry, now int64) bool {
 				}
 			}
 			if k.open[cs] == 0 && c.state == StateIssued {
-				k.setCand(cs)
+				bitSet(k.cand, cs)
 			}
 		}
 	}
@@ -1169,18 +1033,16 @@ func (k *BitScheduler) tryFinalizeSlot(e *Entry, now int64) bool {
 	return true
 }
 
+// freeSlot releases a settled entry's slot and advances oldestAge past
+// freed slots. A held slot in the live span belongs to the entry of that
+// age, since the span's ages have distinct slots.
 func (k *BitScheduler) freeSlot(s int) {
 	k.ent[s] = nil
-	bitClear(k.live, s)
 	bitClear(k.ready, s)
 	bitClear(k.cand, s)
 	k.recheckAt[s] = 0
 	k.occupied--
-	for k.oldestAge < k.nextAge {
-		os := int(k.oldestAge & int64(k.n-1))
-		if e := k.ent[os]; e != nil && e.age == k.oldestAge {
-			break
-		}
+	for k.oldestAge < k.nextAge && k.ent[k.slotOf(k.oldestAge)] == nil {
 		k.oldestAge++
 	}
 }
@@ -1207,11 +1069,10 @@ func (k *BitScheduler) DependsOn(e, target *Entry) bool {
 		k.depStack = k.depStack[:len(k.depStack)-1]
 		base := s * edgeStride
 		for i := 0; i < int(k.nsrc[s]); i++ {
-			ei := base + i
-			if k.eFlags[ei]&edgeFinal != 0 {
+			ps := int(k.eProd[base+i])
+			if ps < 0 {
 				continue
 			}
-			ps := int(k.eProd[ei])
 			if k.ent[ps] == target {
 				return true
 			}
@@ -1228,21 +1089,19 @@ func (k *BitScheduler) DependsOn(e, target *Entry) bool {
 // diagnostics; allocates).
 func (k *BitScheduler) DebugActive() []*Entry {
 	out := make([]*Entry, 0, k.occupied)
-	sc := newAgeScan(k.live, k.startPos())
-	for {
-		s, ok := sc.next()
-		if !ok {
-			return out
+	for age := k.oldestAge; age < k.nextAge; age++ {
+		if e := k.ent[k.slotOf(age)]; e != nil {
+			out = append(out, e)
 		}
-		out = append(out, k.ent[s])
 	}
+	return out
 }
 
 // dumpEntry renders one entry's scheduling state for diagnostics.
 func (k *BitScheduler) dumpEntry(e *Entry) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "entry %d: state=%v replays=%d grant=%d ops=%d", e.id, e.state, e.replays, e.grant, e.numOps)
-	if e.isMOP {
+	if e.numOps > 1 {
 		b.WriteString(" (MOP)")
 	}
 	if e.pendingTail {
@@ -1256,8 +1115,7 @@ func (k *BitScheduler) dumpEntry(e *Entry) string {
 		for i := 0; i < int(k.nsrc[e.slot]); i++ {
 			ei := base + i
 			fmt.Fprintf(&b, "\n  src %d: wake=%s actual=%s final=%v deaf=%v",
-				i, cycleStr(k.eWake[ei]), cycleStr(k.eActual[ei]),
-				k.eFlags[ei]&edgeFinal != 0, k.eFlags[ei]&edgeDeaf != 0)
+				i, cycleStr(k.eWake[ei]), cycleStr(k.eActual[ei]), k.eProd[ei] < 0, k.eDeaf[ei])
 		}
 	}
 	return b.String()
@@ -1270,17 +1128,16 @@ func (k *BitScheduler) DumpActive(limit int) string {
 	fmt.Fprintf(&b, "scheduler: %d occupied, %d replays total, %d grants\n",
 		k.occupied, k.stats.Replays, k.stats.Grants)
 	n := 0
-	sc := newAgeScan(k.live, k.startPos())
-	for {
-		s, ok := sc.next()
-		if !ok {
-			break
+	for age := k.oldestAge; age < k.nextAge; age++ {
+		e := k.ent[k.slotOf(age)]
+		if e == nil {
+			continue
 		}
 		if n >= limit {
 			fmt.Fprintf(&b, "... %d more active entries elided\n", k.occupied-n)
 			break
 		}
-		b.WriteString(k.dumpEntry(k.ent[s]))
+		b.WriteString(k.dumpEntry(e))
 		b.WriteByte('\n')
 		n++
 	}
@@ -1298,28 +1155,25 @@ func (k *BitScheduler) DumpActive(limit int) string {
 // eventually stops committing. Returns whether a victim edge was found
 // (retry next cycle otherwise).
 func (k *BitScheduler) FaultDeafen() bool {
-	sc := newAgeScan(k.live, k.startPos())
-	for {
-		s, ok := sc.next()
-		if !ok {
-			return false
-		}
+	for age := k.oldestAge; age < k.nextAge; age++ {
+		s := k.slotOf(age)
 		e := k.ent[s]
-		if e.state != StateWaiting {
+		if e == nil || e.state != StateWaiting {
 			continue
 		}
 		base := s * edgeStride
 		for i := 0; i < int(k.nsrc[s]); i++ {
 			ei := base + i
-			if k.eFlags[ei]&(edgeFinal|edgeDeaf) != 0 || k.eWake[ei] <= k.now {
+			if k.eProd[ei] < 0 || k.eDeaf[ei] || k.eWake[ei] <= k.now {
 				continue
 			}
-			k.eFlags[ei] |= edgeDeaf
+			k.eDeaf[ei] = true
 			k.eWake[ei] = never
 			k.refreshReady(e)
 			return true
 		}
 	}
+	return false
 }
 
 // FaultSuppressReplay arms the lost-replay fault: the next invalidation

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"macroop/internal/config"
+	"macroop/internal/simerr"
 )
 
 // Generation-guard and recycling tests: an Entry struct is pooled through
@@ -114,10 +117,10 @@ func TestBitDeferredEventGenGuard(t *testing.T) {
 	// Forge stale deferred events in every ring: scheduled against p's
 	// current life, firing at cycles 40..43, with p released (and
 	// recycled) in between.
-	k.sbEvents.push(k.now, 40, p)
-	k.loadEvents.push(k.now, 41, p)
-	k.readyEvents.push(k.now, 42, p)
-	k.finalEvents.push(k.now, 43, p)
+	k.sbEvents.push(k.now, 40, refOf(p))
+	k.loadEvents.push(k.now, 41, refOf(p))
+	k.readyEvents.push(k.now, 42, refOf(p))
+	k.finalEvents.push(k.now, 43, refOf(p))
 	k.Release(p)
 
 	p2 := alu(k)
@@ -147,7 +150,7 @@ func TestBitDeferredEventGenGuard(t *testing.T) {
 // guard in that window must not touch the slot's next occupant.
 func TestBitStaleSlotEventGuard(t *testing.T) {
 	cfg := testCfg(config.SchedBase)
-	cfg.Window = 8 // small age ring so the freed slot recurs quickly
+	cfg.Window = 64 // the smallest age ring, so the freed slot recurs quickly
 	k := NewBit(cfg)
 	p := alu(k)
 	slot := p.slot
@@ -155,8 +158,8 @@ func TestBitStaleSlotEventGuard(t *testing.T) {
 
 	// p is final and its slot freed, but not yet released: its gen is
 	// still current. Forge readiness and finality re-checks against it.
-	k.readyEvents.push(k.now, now+2, p)
-	k.finalEvents.push(k.now, now+3, p)
+	k.readyEvents.push(k.now, now+2, refOf(p))
+	k.finalEvents.push(k.now, now+3, refOf(p))
 
 	// A new entry claims slots by age; drive inserts until the freed slot
 	// is reused (the ring wraps within n inserts).
@@ -180,6 +183,34 @@ func TestBitStaleSlotEventGuard(t *testing.T) {
 		t.Fatalf("slot usurper never completed (state %v)", usurper.GetState())
 	}
 	k.Release(p)
+}
+
+// TestInsertPastWindowPanics: an insert whose age-ring slot the oldest
+// live entry still holds breaks the caller's Window bound. It must fail
+// as an internal error naming Window and the live span, not overwrite the
+// entry.
+func TestInsertPastWindowPanics(t *testing.T) {
+	cfg := testCfg(config.SchedBase)
+	cfg.Window = 64
+	k := NewBit(cfg)
+	for i := 0; i < 64; i++ {
+		alu(k) // ages 0..63 fill the 64-slot ring; none has issued
+	}
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, simerr.ErrInternal) {
+			t.Fatalf("insert into a held slot: recovered %v, want an internal error", err)
+		}
+		for _, want := range []string{"live span of 65 ages", "Window 64"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
+		if k.Occupied() != 64 || k.ent[0].age != 0 {
+			t.Errorf("failed insert changed the queue: occupied %d, slot 0 holds age %d", k.Occupied(), k.ent[0].age)
+		}
+	}()
+	alu(k)
 }
 
 // TestBitReleaseRefcounting: Retain defers recycling until every holder

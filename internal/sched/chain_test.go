@@ -10,7 +10,9 @@ import (
 
 func chainIPC(t *testing.T, model config.SchedModel, n int) float64 {
 	t.Helper()
-	cfg := Config{Model: model, Width: 4, ReplayPenalty: 2}
+	// All n entries are inserted before the first tick, so the live age
+	// span is n.
+	cfg := Config{Model: model, Width: 4, ReplayPenalty: 2, Window: n}
 	for i := range cfg.FU {
 		cfg.FU[i] = 4
 	}

@@ -16,9 +16,10 @@ import (
 // dependence queries, on each entry's final state and grant, and at the
 // end on all stats. Slot numbers are internal, so nothing observable may
 // depend on them: the wide kernel's ring holds every age of the run
-// without wrapping, while the tight one starts at the 64-slot minimum,
-// wraps every 64 inserts and grows whenever an unsettled entry is still
-// in the way.
+// without wrapping, while the tight one is a 64-slot ring that wraps
+// every 64 inserts. Like a full 64-entry ROB, the script stops inserting
+// while the oldest unsettled entry is 64 ages back, which keeps the live
+// age span within the tight ring.
 //
 // The grant stream is also checked against the model rules every cycle
 // (issue width, functional units, occupancy), and each entry once it
@@ -71,16 +72,19 @@ type duo struct {
 	maxOcc                              int
 }
 
-// lockstepWideWindow is the wide kernel's Window hint: its age ring
-// (twice the hint) exceeds every age a run inserts.
-const lockstepWideWindow = 4096
+// The kernels' Windows: the wide kernel's age ring exceeds every age a
+// run inserts, and the tight one is the 64-slot minimum.
+const (
+	lockstepWideWindow  = 4096
+	lockstepTightWindow = 64
+)
 
 func newDuo(t *testing.T, model config.SchedModel, iq int, seed int64) *duo {
 	cfg := Config{Model: model, Width: 4, IQEntries: iq, ReplayPenalty: 2}
 	cfg.FU = [isa.NumClasses]int{2, 1, 2, 2, 1, 4}
 	wide, tight := cfg, cfg
 	wide.Window = lockstepWideWindow
-	tight.Window = 1
+	tight.Window = lockstepTightWindow
 	return &duo{
 		t:      t,
 		cfg:    cfg,
@@ -300,12 +304,23 @@ func (d *duo) step(now int64, insert bool) {
 	d.settlePending(now)
 	hi := len(d.ents)
 	if insert {
-		for j := d.rng.Intn(5); j > 0 && d.a.HasSpace(1); j-- {
+		for j := d.rng.Intn(5); j > 0 && d.a.HasSpace(1) && d.span() < lockstepTightWindow; j-- {
 			d.insertOne(now)
 		}
 		hi = len(d.ents) - 48
 	}
 	d.releaseSettled(now, hi)
+}
+
+// span is the live age span the next insert extends: the ages from the
+// oldest unsettled entry up to the newest. Script indices are ages.
+func (d *duo) span() int {
+	for i := d.lo; i < len(d.ents); i++ {
+		if de := d.ents[i]; !de.released && !de.a.Final() {
+			return len(d.ents) - i
+		}
+	}
+	return 0
 }
 
 // checkGrants checks one cycle's grants against the machine: no more
@@ -480,11 +495,11 @@ func (d *duo) finish(cycles int64) {
 	if got != want {
 		d.fatalf("stats disagree with the script:\nkernel=%+v\nscript=%+v", got, want)
 	}
-	// The wide ring never wrapped; the tight one grew and wrapped.
-	if d.a.nextAge > int64(d.a.n) || d.a.n != 2*lockstepWideWindow {
+	// The wide ring never wrapped; the tight one wrapped.
+	if d.a.nextAge > int64(d.a.n) || d.a.n != lockstepWideWindow {
 		d.fatalf("wide ring of %d slots took %d ages", d.a.n, d.a.nextAge)
 	}
-	if d.b.n == 64 || d.b.nextAge <= int64(d.b.n) {
+	if d.b.n != lockstepTightWindow || d.b.nextAge <= int64(d.b.n) {
 		d.fatalf("tight ring of %d slots took only %d ages", d.b.n, d.b.nextAge)
 	}
 }

@@ -1,22 +1,21 @@
 package sched
 
-import "macroop/internal/isa"
-
-// This file implements the cycle-keyed event rings that replace the
-// per-cycle map churn (futureGrants/futureFU/loadEvents/sbEvents used to
-// be map[int64]...; deleting and re-creating map buckets every cycle was
-// one of the top allocation sites of the whole simulator).
+// This file implements the cycle-keyed event ring that replaces per-cycle
+// map churn (the future MOP grants and the deferred per-entry events used
+// to be map[int64]...; deleting and re-creating map buckets every cycle
+// was one of the top allocation sites of the whole simulator).
 //
-// Each ring is a power-of-two slice of slots indexed by cycle&mask. A
-// slot records which cycle it currently belongs to, so a stale slot
-// (whose cycle already passed) is re-claimed in place by the next push.
-// All scheduled cycles are near-future (MOP sequencing reaches now+7,
-// load discoveries now+ExecOffset+1, scoreboard checks now+delay), so the
-// initial size is already collision-free; rings still grow defensively if
-// a configuration ever schedules further out than the ring is long.
+// A ring is a power-of-two slice of slots indexed by cycle&mask. A slot
+// records which cycle it currently belongs to, so a stale slot (whose
+// cycle already passed) is re-claimed in place by the next push. Most
+// scheduled cycles are near-future (MOP sequencing reaches
+// now+MaxMOPOps-1, load discoveries now+ExecOffset+1, scoreboard checks
+// now+delay), so the initial size is collision-free for them; a ring
+// grows if something, such as a readiness re-check at a load miss's
+// data-return cycle, is scheduled further out than the ring is long.
 //
 // Slot payload slices are reused across claims: truncated to length 0,
-// capacity kept. Stale pointers beyond the current length are never read
+// capacity kept. Stale values beyond the current length are never read
 // and only reference pooled objects, so they are not cleared on the hot
 // path.
 
@@ -31,247 +30,99 @@ const eventRingInit = 64
 // zero-allocs-per-cycle property on long runs.
 const slotCapFloor = 32
 
-// ringIdx maps a cycle onto a power-of-two ring.
-func ringIdx(cyc int64, n int) int { return int(cyc & int64(n-1)) }
-
-// ringNeedsGrow reports whether scheduling cyc (relative to now) could
-// collide with another live cycle in an n-slot ring. Keeping every live
-// cycle within (now, now+n) guarantees distinct slots.
-func ringNeedsGrow(now, cyc int64, n int) bool { return cyc-now >= int64(n) }
-
-func grownRingLen(now, cyc int64, n int) int {
-	for ringNeedsGrow(now, cyc, n) {
-		n *= 2
-	}
-	return n
-}
-
-// ---------------------------------------------------------------------
-// grantRing: future Grant events (MOP op sequencing).
-
-type grantSlot struct {
-	cyc    int64
-	grants []Grant
-}
-
-type grantRing struct {
-	slots []grantSlot
-	// n counts outstanding future grants so per-cycle takes can skip the
-	// slot probe entirely when nothing is scheduled (the common case
-	// outside MOP sequencing). It may overcount after a grow drops
-	// already-passed slots; that only costs a redundant probe.
+// cycleRing holds values keyed by the future cycle they are due at: the
+// kernel's future MOP op grants and its deferred per-entry events.
+type cycleRing[T any] struct {
+	slots []ringSlot[T]
+	// n counts outstanding values so per-cycle takes can skip the slot
+	// probe entirely when nothing is scheduled (the common case). It may
+	// overcount after a grow drops already-passed slots; that only costs a
+	// redundant probe.
 	n int
 }
 
-func newGrantRing() grantRing { return grantRing{slots: newGrantSlots(eventRingInit)} }
+type ringSlot[T any] struct {
+	cyc  int64
+	vals []T
+}
 
-func newGrantSlots(n int) []grantSlot {
-	slots := make([]grantSlot, n)
+func newCycleRing[T any]() cycleRing[T] { return cycleRing[T]{slots: newRingSlots[T](eventRingInit)} }
+
+func newRingSlots[T any](n int) []ringSlot[T] {
+	slots := make([]ringSlot[T], n)
 	for i := range slots {
-		slots[i].grants = make([]Grant, 0, slotCapFloor)
+		slots[i].vals = make([]T, 0, slotCapFloor)
 	}
 	return slots
 }
 
-func (r *grantRing) push(now, cyc int64, g Grant) {
-	if ringNeedsGrow(now, cyc, len(r.slots)) {
+func (r *cycleRing[T]) slot(cyc int64) *ringSlot[T] {
+	return &r.slots[cyc&int64(len(r.slots)-1)]
+}
+
+// push schedules v for cycle cyc > now. Keeping every live cycle within
+// (now, now+len) guarantees distinct slots, so a push beyond that grows
+// the ring first.
+func (r *cycleRing[T]) push(now, cyc int64, v T) {
+	if cyc-now >= int64(len(r.slots)) {
 		r.grow(now, cyc)
 	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
+	s := r.slot(cyc)
 	if s.cyc != cyc {
 		s.cyc = cyc
-		s.grants = s.grants[:0]
+		s.vals = s.vals[:0]
 	}
-	s.grants = append(s.grants, g)
+	s.vals = append(s.vals, v)
 	r.n++
 }
 
-// count returns how many grants are already scheduled for cyc.
-func (r *grantRing) count(cyc int64) int {
+// at returns the values scheduled for cyc without removing them.
+func (r *cycleRing[T]) at(cyc int64) []T {
 	if r.n == 0 {
-		return 0
+		return nil
 	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
-	if s.cyc != cyc {
-		return 0
+	if s := r.slot(cyc); s.cyc == cyc {
+		return s.vals
 	}
-	return len(s.grants)
+	return nil
 }
 
-// take appends cyc's grants to dst and empties the slot.
-func (r *grantRing) take(cyc int64, dst []Grant) []Grant {
-	if r.n == 0 {
-		return dst
+// take returns cyc's values and empties the slot. The returned slice is
+// valid until the slot's next push; processing it must not schedule new
+// values for the same cycle (no caller does: every push targets a
+// strictly future cycle).
+func (r *cycleRing[T]) take(cyc int64) []T {
+	vals := r.at(cyc)
+	if len(vals) > 0 {
+		r.n -= len(vals)
+		r.slot(cyc).vals = vals[:0]
 	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
-	if s.cyc != cyc {
-		return dst
-	}
-	dst = append(dst, s.grants...)
-	r.n -= len(s.grants)
-	s.grants = s.grants[:0]
-	return dst
+	return vals
 }
 
-func (r *grantRing) grow(now, cyc int64) {
+func (r *cycleRing[T]) grow(now, cyc int64) {
 	old := r.slots
-	r.slots = newGrantSlots(grownRingLen(now, cyc, len(old)))
+	n := len(old)
+	for cyc-now >= int64(n) {
+		n *= 2
+	}
+	r.slots = newRingSlots[T](n)
 	for i := range old {
-		if old[i].cyc > now && len(old[i].grants) > 0 {
-			s := &r.slots[ringIdx(old[i].cyc, len(r.slots))]
+		if old[i].cyc > now && len(old[i].vals) > 0 {
+			s := r.slot(old[i].cyc)
 			s.cyc = old[i].cyc
-			s.grants = append(s.grants, old[i].grants...)
+			s.vals = append(s.vals, old[i].vals...)
 		}
 	}
 }
 
-// ---------------------------------------------------------------------
-// fuRing: functional-unit reservations made by future MOP op grants.
-
-type fuSlot struct {
-	cyc int64
-	cnt int // total reservations in fu, so take can maintain fuRing.n
-	fu  [isa.NumClasses]int
-}
-
-type fuRing struct {
-	slots []fuSlot
-	// n counts outstanding reservations, same fast-empty role (and the
-	// same harmless overcount after grow) as grantRing.n.
-	n int
-}
-
-func newFURing() fuRing { return fuRing{slots: make([]fuSlot, eventRingInit)} }
-
-func (r *fuRing) add(now, cyc int64, c isa.Class) {
-	if ringNeedsGrow(now, cyc, len(r.slots)) {
-		r.grow(now, cyc)
-	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
-	if s.cyc != cyc {
-		s.cyc = cyc
-		s.cnt = 0
-		s.fu = [isa.NumClasses]int{}
-	}
-	s.fu[c]++
-	s.cnt++
-	r.n++
-}
-
-// get returns the units of class c reserved for cyc.
-func (r *fuRing) get(cyc int64, c isa.Class) int {
-	if r.n == 0 {
-		return 0
-	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
-	if s.cyc != cyc {
-		return 0
-	}
-	return s.fu[c]
-}
-
-// take returns cyc's reservation vector and clears the slot.
-func (r *fuRing) take(cyc int64) [isa.NumClasses]int {
-	if r.n == 0 {
-		return [isa.NumClasses]int{}
-	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
-	if s.cyc != cyc {
-		return [isa.NumClasses]int{}
-	}
-	out := s.fu
-	r.n -= s.cnt
-	s.cnt = 0
-	s.fu = [isa.NumClasses]int{}
-	return out
-}
-
-func (r *fuRing) grow(now, cyc int64) {
-	old := r.slots
-	r.slots = make([]fuSlot, grownRingLen(now, cyc, len(old)))
-	for i := range old {
-		if old[i].cyc > now {
-			s := &r.slots[ringIdx(old[i].cyc, len(r.slots))]
-			s.cyc = old[i].cyc
-			s.cnt = old[i].cnt
-			s.fu = old[i].fu
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// entryRing: deferred per-entry events (load-miss discoveries, scoreboard
-// checks). Events carry the entry's generation at scheduling time: with
-// the Entry free list an entry may be released and reused before a
-// long-delay event fires, and a stale event must not touch its new life.
-
+// entryRef is a deferred per-entry event. It carries the entry's
+// generation at scheduling time: with the Entry free list an entry may be
+// released and reused before a long-delay event fires, and a stale event
+// must not touch its new life.
 type entryRef struct {
 	e   *Entry
 	gen uint32
 }
 
-type entrySlot struct {
-	cyc int64
-	evs []entryRef
-}
-
-type entryRing struct {
-	slots []entrySlot
-	// n counts outstanding events; a zero count lets the per-cycle take
-	// skip the slot probe. Overcounts harmlessly after a grow drops
-	// passed slots.
-	n int
-}
-
-func newEntryRing() entryRing { return entryRing{slots: newEntrySlots(eventRingInit)} }
-
-func newEntrySlots(n int) []entrySlot {
-	slots := make([]entrySlot, n)
-	for i := range slots {
-		slots[i].evs = make([]entryRef, 0, slotCapFloor)
-	}
-	return slots
-}
-
-func (r *entryRing) push(now, cyc int64, e *Entry) {
-	if ringNeedsGrow(now, cyc, len(r.slots)) {
-		r.grow(now, cyc)
-	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
-	if s.cyc != cyc {
-		s.cyc = cyc
-		s.evs = s.evs[:0]
-	}
-	s.evs = append(s.evs, entryRef{e: e, gen: e.gen})
-	r.n++
-}
-
-// take returns cyc's events and empties the slot. The returned slice is
-// valid until the slot's next push; event processing must not schedule
-// new events for the same cycle (it never does — all pushes target
-// strictly future cycles).
-func (r *entryRing) take(cyc int64) []entryRef {
-	if r.n == 0 {
-		return nil
-	}
-	s := &r.slots[ringIdx(cyc, len(r.slots))]
-	if s.cyc != cyc {
-		return nil
-	}
-	evs := s.evs
-	r.n -= len(evs)
-	s.evs = s.evs[:0]
-	return evs
-}
-
-func (r *entryRing) grow(now, cyc int64) {
-	old := r.slots
-	r.slots = newEntrySlots(grownRingLen(now, cyc, len(old)))
-	for i := range old {
-		if old[i].cyc > now && len(old[i].evs) > 0 {
-			s := &r.slots[ringIdx(old[i].cyc, len(r.slots))]
-			s.cyc = old[i].cyc
-			s.evs = append(s.evs, old[i].evs...)
-		}
-	}
-}
+func refOf(e *Entry) entryRef { return entryRef{e: e, gen: e.gen} }

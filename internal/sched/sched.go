@@ -37,11 +37,12 @@ import (
 const never = int64(1) << 62
 
 // MaxMOPOps is the largest number of original instructions one issue
-// queue entry can hold. The paper evaluates pairs (2) and characterizes
-// groups up to its 8-instruction scope (Figure 7); chained MOPs are its
-// "future work" extension (Section 4.3), supported here up to 8
-// (wired-OR wakeup only).
-const MaxMOPOps = 8
+// queue entry can hold. The paper evaluates pairs (2); chained MOPs are
+// its "future work" extension (Section 4.3), supported here up to 4
+// (wired-OR wakeup only), the largest size an experiment runs. Figure 7's
+// characterization of groups up to 8 instructions (mop.Grouping) forms no
+// entries and does not use this bound.
+const MaxMOPOps = 4
 
 // Config parameterizes a BitScheduler.
 type Config struct {
@@ -62,12 +63,13 @@ type Config struct {
 	// declares a livelock (replay storm) through Err instead of replaying
 	// further; 0 means DefaultReplayLimit.
 	ReplayLimit int
-	// Window is a hint for the maximum number of simultaneously live
-	// entries (the core passes its ROB size: every non-final entry keeps
-	// at least one uncommitted op in the in-order ROB, so the live age
-	// span never exceeds it). The scheduler sizes its age ring from it
-	// and grows the ring on demand if the hint is exceeded. 0 picks a
-	// default.
+	// Window bounds the live age span: the ages from the oldest entry
+	// not yet final to the newest entry. The core passes its ROB size: a
+	// non-final entry cannot commit, so its head and every younger
+	// entry's head are still in the in-order ROB, and the span never
+	// exceeds it. The age ring has Window slots rounded up to a power of
+	// two, at least 64; an Insert past that bound panics with an
+	// internal error. 0 means 128.
 	Window int
 }
 
@@ -101,7 +103,7 @@ const (
 // Field order is deliberate: the scalars the scheduling loop touches per
 // entry per cycle (state, grant, slot, refs) are grouped ahead of the
 // MaxMOPOps-sized arrays, so the hot accesses share the struct's first
-// cache line instead of straddling the ~200 bytes of op storage.
+// cache line instead of straddling the ~160 bytes of op storage.
 type Entry struct {
 	state State
 	// gen counts reuses of this Entry struct through the scheduler's free
@@ -125,7 +127,6 @@ type Entry struct {
 	slot int
 
 	numOps int
-	isMOP  bool
 	// pendingTail marks a MOP head waiting for its tail to be inserted
 	// (Section 5.2.3); the entry does not request selection until then.
 	pendingTail bool
@@ -170,8 +171,8 @@ func (e *Entry) GetState() State { return e.state }
 // Grant returns the most recent grant cycle of the entry's first op.
 func (e *Entry) Grant() int64 { return e.grant }
 
-// IsMOP reports whether the entry holds a fused pair.
-func (e *Entry) IsMOP() bool { return e.isMOP }
+// IsMOP reports whether the entry holds more than one instruction.
+func (e *Entry) IsMOP() bool { return e.numOps > 1 }
 
 // NumOps returns how many original instructions the entry holds.
 func (e *Entry) NumOps() int { return e.numOps }
@@ -220,17 +221,17 @@ func modelSelectFree(m config.SchedModel) bool {
 }
 
 // wakeFromGrant computes when a consumer becomes selectable given its
-// producer entry was granted at p.grant, per the scheduling model: the
-// broadcast timing rule every wakeup path shares.
-func wakeFromGrant(model config.SchedModel, p *Entry, assumed int) int64 {
-	g := p.grant
+// producer entry p broadcast its tag at cycle g — its grant, or for the
+// select-free models' speculative wakeup its first request — per the
+// scheduling model: the broadcast timing rule every wakeup path shares.
+func wakeFromGrant(model config.SchedModel, p *Entry, g int64, assumed int) int64 {
 	switch model {
 	case config.SchedBase:
 		return g + int64(assumed)
 	case config.SchedTwoCycle:
 		return g + int64(max(assumed, 2))
 	case config.SchedMOP:
-		if p.isMOP {
+		if p.numOps > 1 {
 			// One tag broadcast for the whole MOP: every consumer is
 			// selectable numOps cycles after the head issues (two for the
 			// paper's pairs, Figure 5; N for chained MOPs).
@@ -238,20 +239,14 @@ func wakeFromGrant(model config.SchedModel, p *Entry, assumed int) int64 {
 		}
 		return g + int64(max(assumed, 2))
 	case config.SchedSelectFreeSquashDep:
-		// Re-broadcast after a squash costs one cycle relative to the
-		// speculative wakeup; the non-collision path never calls this.
+		// Both the speculative broadcast at the first request and a
+		// grant wake after the latency; a squashed dependent's one extra
+		// re-broadcast cycle is rebroadcast's penalty.
 		return g + int64(assumed)
 	case config.SchedSelectFreeScoreboard:
 		return g + int64(assumed)
 	}
 	panic(simerr.Internalf(simerr.Context{}, "sched: unknown model %v", model))
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String names the entry state.

@@ -335,7 +335,9 @@ func TestIQOccupancyAndRelease(t *testing.T) {
 
 func TestUnrestrictedQueue(t *testing.T) {
 	onBitKernel(t, func(t *testing.T) {
-		s := NewBit(testCfg(config.SchedBase)) // IQEntries 0
+		cfg := testCfg(config.SchedBase) // IQEntries 0
+		cfg.Window = 1000                // the live age span of 1000 inserts
+		s := NewBit(cfg)
 		for i := 0; i < 1000; i++ {
 			alu(s)
 		}

@@ -62,8 +62,9 @@ func TestSelectProperty(t *testing.T) {
 				Width:         1 + rng.Intn(6),
 				IQEntries:     0,
 				ReplayPenalty: 2,
-				// A small ring forces several wrap-arounds over the run.
-				Window: 16,
+				// A small ring forces several wrap-arounds over the run;
+				// insert keeps the live age span within it.
+				Window: 64,
 			}
 			for c := range cfg.FU {
 				cfg.FU[c] = rng.Intn(4) // 0 ports = that class never issues
@@ -72,7 +73,10 @@ func TestSelectProperty(t *testing.T) {
 
 			var live []*Entry
 			insert := func(now int64, n int) {
-				for i := 0; i < n; i++ {
+				// Like a full ROB, stop while the oldest live entry is
+				// Window ages back (entries of a class without ports
+				// never leave).
+				for i := 0; i < n && k.nextAge-k.oldestAge < int64(cfg.Window); i++ {
 					cl := classes[rng.Intn(len(classes))]
 					e := k.Insert(OpInfo{FU: cl, Latency: 1, Seq: int64(len(live))}, nil, false)
 					live = append(live, e)

@@ -11,6 +11,13 @@
 //	go test ./internal/sched/testdata/mutation -v -timeout 60m
 //	go test ./internal/sched/testdata/mutation -v -only M01,M04
 //
+// TestMutantsApply checks in milliseconds, without running a suite, that
+// every mutant's old text still occurs exactly once in its file, so an
+// edit that orphans a mutant fails at once instead of at the next
+// campaign:
+//
+//	go test ./internal/sched/testdata/mutation -run '^TestMutantsApply$'
+//
 // -src mutates another copy of the module instead (an older commit, say),
 // and each -suite 'name=go test arguments' adds a suite or replaces the
 // one of that name. Only the default suites are compared with killed_by.
@@ -102,11 +109,10 @@ func buildSuites() ([]suite, error) {
 	return suites, nil
 }
 
-func TestMutants(t *testing.T) {
-	suites, err := buildSuites()
-	if err != nil {
-		t.Fatal(err)
-	}
+// loadMutants returns the mutants -only selects, and the module tree they
+// apply to.
+func loadMutants(t *testing.T) ([]mutant, string) {
+	t.Helper()
 	var ms []mutant
 	if err := json.Unmarshal(mutantsJSON, &ms); err != nil {
 		t.Fatalf("mutants.json: %v", err)
@@ -115,11 +121,11 @@ func TestMutants(t *testing.T) {
 		ids := strings.Split(*only, ",")
 		ms = slices.DeleteFunc(ms, func(m mutant) bool { return !slices.Contains(ids, m.ID) })
 	}
-
 	root := *src
 	if root == "" {
 		// The test runs in its package directory, four levels below the
 		// module root.
+		var err error
 		if root, err = filepath.Abs("../../../.."); err != nil {
 			t.Fatal(err)
 		}
@@ -127,6 +133,37 @@ func TestMutants(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("no module at %s: %v", root, err)
 	}
+	return ms, root
+}
+
+// occurrences counts m's old text in its file under root.
+func occurrences(root string, m mutant) (string, int, error) {
+	src, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(m.File)))
+	return string(src), strings.Count(string(src), m.Old), err
+}
+
+func TestMutantsApply(t *testing.T) {
+	ms, root := loadMutants(t)
+	seen := map[string]bool{}
+	for _, m := range ms {
+		if seen[m.ID] {
+			t.Errorf("%s: duplicate mutant id", m.ID)
+		}
+		seen[m.ID] = true
+		if _, n, err := occurrences(root, m); err != nil {
+			t.Errorf("%s: %v", m.ID, err)
+		} else if n != 1 {
+			t.Errorf("%s: old text occurs %d times in %s, want exactly 1", m.ID, n, m.File)
+		}
+	}
+}
+
+func TestMutants(t *testing.T) {
+	suites, err := buildSuites()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, root := loadMutants(t)
 	work := t.TempDir()
 	if err := copyTree(root, work); err != nil {
 		t.Fatalf("copy module: %v", err)
@@ -146,14 +183,14 @@ func TestMutants(t *testing.T) {
 	rows := make([][]bool, len(ms))
 	for i, m := range ms {
 		path := filepath.Join(work, filepath.FromSlash(m.File))
-		orig, err := os.ReadFile(path)
+		orig, n, err := occurrences(work, m)
 		if err != nil {
 			t.Fatalf("%s: %v", m.ID, err)
 		}
-		if n := strings.Count(string(orig), m.Old); n != 1 {
+		if n != 1 {
 			t.Fatalf("%s: old text occurs %d times in %s, want exactly 1", m.ID, n, m.File)
 		}
-		if err := os.WriteFile(path, []byte(strings.Replace(string(orig), m.Old, m.New, 1)), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Replace(orig, m.Old, m.New, 1)), 0o644); err != nil {
 			t.Fatalf("%s: %v", m.ID, err)
 		}
 		start := time.Now()
@@ -164,7 +201,7 @@ func TestMutants(t *testing.T) {
 			t.Logf("%s: %s (%s)", m.ID, summary(suites, rows[i]), time.Since(start).Round(time.Second))
 			checkExpected(t, m, suites, rows[i])
 		}
-		if err := os.WriteFile(path, orig, 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(orig), 0o644); err != nil {
 			t.Fatalf("%s: restore: %v", m.ID, err)
 		}
 	}
