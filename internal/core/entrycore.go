@@ -139,8 +139,10 @@ func NewFromSource(cfg config.Machine, name string, src functional.Source) (*Cor
 		FU:            fu,
 		ReplayPenalty: cfg.ReplayPenalty,
 		ReplayLimit:   cfg.ReplayStormLimit,
-		// Every non-final entry keeps at least one uncommitted op in the
-		// in-order ROB, so the ROB bounds the live entry window.
+		// A non-final entry cannot commit, so its head and every younger
+		// entry's head are still in the in-order ROB: the ROB bounds the
+		// live age span, and an insert past the bound is an internal
+		// error (insert stops at a full ROB before it gets there).
 		Window: cfg.ROBEntries,
 	})
 	if cfg.Sched == config.SchedMOP {

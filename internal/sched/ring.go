@@ -92,11 +92,16 @@ func (r *cycleRing[T]) at(cyc int64) []T {
 // values for the same cycle (no caller does: every push targets a
 // strictly future cycle).
 func (r *cycleRing[T]) take(cyc int64) []T {
-	vals := r.at(cyc)
-	if len(vals) > 0 {
-		r.n -= len(vals)
-		r.slot(cyc).vals = vals[:0]
+	if r.n == 0 {
+		return nil
 	}
+	s := r.slot(cyc)
+	if s.cyc != cyc {
+		return nil
+	}
+	vals := s.vals
+	r.n -= len(vals)
+	s.vals = vals[:0]
 	return vals
 }
 
